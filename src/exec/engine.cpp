@@ -93,60 +93,94 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// True while this thread is executing a chunk of some region; nested
+// True while this thread is executing a slot of some region; nested
 // regions then run inline instead of re-entering the pool.
 bool& in_region() {
   thread_local bool inside = false;
   return inside;
 }
 
-// ------------------------------------------------------------- chunks
+// -------------------------------------------------------------- slots
 
-struct ChunkResult {
-  std::vector<detail::ItemFailure> failures;  // ascending within the chunk
-  // First item index at which a deadline/cancel stop triggered (the item
-  // did NOT run); SIZE_MAX when the chunk ran to its end.
-  size_t stop_index = SIZE_MAX;
-  deadline::StopReason stop = deadline::StopReason::none;
+// Claim state shared by a region's slots. Blocks of `grain` indices are
+// handed out in ascending order, so every index below any claimed one has
+// itself been claimed — and a slot polls every item of its block unless
+// it stopped at a lower one.
+struct Claims {
+  Claims(size_t n, size_t grain) : n(n), grain(grain) {}
+  const size_t n;
+  const size_t grain;
+  // Fault-stream ids, resolved on the thread entering the region so a
+  // nested region's items derive from the enclosing item's stream.
+  const fault::StreamFork streams;
+  std::atomic<size_t> next{0};
+  // Set by the first slot that stops (deadline/cancel stop, or a
+  // fail-fast failure): the others stop claiming. Indices below the
+  // stopping item were all claimed already, so this only drops work the
+  // reduction would discard anyway.
+  std::atomic<bool> halt{false};
 };
 
-// Runs one contiguous chunk of items on the current thread: per-item
-// fault stream, per-item deadline/cancel poll, per-chunk metric shard
-// (merged before returning), and per-item error capture. fail_fast stops
-// the chunk at its first failure.
-void run_chunk(size_t begin, size_t end, bool fail_fast,
-               const std::function<void(size_t)>& body, ChunkResult& result) {
+struct SlotResult {
+  std::vector<detail::ItemFailure> failures;  // ascending within the slot
+  // Item index at which a deadline/cancel stop triggered (the item did
+  // NOT run); SIZE_MAX when the slot never saw a stop.
+  size_t stop_index = SIZE_MAX;
+  deadline::StopReason stop = deadline::StopReason::none;
+  size_t claimed = 0;  // items this slot started, stop item included
+};
+
+// Runs one thread slot on the current thread: claims blocks of items
+// until the region is exhausted or halted, runs each item under its own
+// fault stream and deadline/cancel poll, with error capture per item and
+// one metric shard for the slot (merged before returning). fail_fast
+// halts the region at the slot's first failure.
+void run_slot(Claims& claims, bool fail_fast, const std::function<void(size_t)>& body,
+              SlotResult& result) {
   obs::MetricShard shard;
   obs::ShardScope scope(shard);
   const bool was_inside = in_region();
   in_region() = true;
-  for (size_t i = begin; i < end; ++i) {
-    fault::ScopedStream stream(i);
-    // Poll under the item's fault stream so the injected stop sites draw
-    // index-pure streams — which items trigger a stop is then identical
-    // at any thread count (docs/robustness.md).
-    const deadline::StopReason stop = deadline::check();
-    if (stop != deadline::StopReason::none) {
-      result.stop = stop;
-      result.stop_index = i;
-      break;
-    }
-    try {
-      body(i);
-    } catch (const Error& e) {
-      result.failures.push_back({i, e});
-      if (fail_fast) break;
-    } catch (const std::exception& e) {
-      result.failures.push_back(
-          {i, Error(std::string("parallel item threw a non-pim exception: ") + e.what(),
-                    ErrorCode::internal)});
-      if (fail_fast) break;
-    } catch (...) {
-      result.failures.push_back(
-          {i, Error("parallel item threw an unknown exception", ErrorCode::internal)});
-      if (fail_fast) break;
+  // The block is finished even after another slot halts the region: an
+  // item below that slot's stop may sit in it, and must still be polled
+  // for the cutoff and the lowest failure to stay thread-count-invariant.
+  bool done = false;
+  while (!done && !claims.halt.load(std::memory_order_relaxed)) {
+    const size_t begin = claims.next.fetch_add(claims.grain, std::memory_order_relaxed);
+    if (begin >= claims.n) break;
+    const size_t end = std::min(claims.n, begin + claims.grain);
+    for (size_t i = begin; i < end && !done; ++i) {
+      ++result.claimed;
+      fault::ScopedStream stream(claims.streams.item(i));
+      // Poll under the item's fault stream so the injected stop sites
+      // draw streams that depend only on the item's index path — which
+      // items trigger a stop is then identical at any thread count
+      // (docs/robustness.md).
+      const deadline::StopReason stop = deadline::check();
+      if (stop != deadline::StopReason::none) {
+        result.stop = stop;
+        result.stop_index = i;
+        done = true;
+        break;
+      }
+      try {
+        body(i);
+        continue;
+      } catch (const Error& e) {
+        result.failures.push_back({i, e});
+      } catch (const std::exception& e) {
+        result.failures.push_back(
+            {i, Error(std::string("parallel item threw a non-pim exception: ") + e.what(),
+                      ErrorCode::internal)});
+      } catch (...) {
+        result.failures.push_back(
+            {i, Error("parallel item threw an unknown exception", ErrorCode::internal)});
+      }
+      // Only a failed item gets here.
+      done = fail_fast;
     }
   }
+  if (done) claims.halt.store(true, std::memory_order_relaxed);
   in_region() = was_inside;
   shard.flush();
 }
@@ -154,9 +188,9 @@ void run_chunk(size_t begin, size_t end, bool fail_fast,
 // --------------------------------------------------- scheduler metrics
 
 // exec.* scheduler metrics (docs/observability.md). Handles resolve once;
-// recording happens once per chunk or region, OUTSIDE the chunk's
-// MetricShard (which run_chunk uninstalls before returning), so the
-// disabled path costs one relaxed load + branch per chunk — nothing per
+// recording happens once per slot or region, OUTSIDE the slot's
+// MetricShard (which run_slot uninstalls before returning), so the
+// disabled path costs one relaxed load + branch per slot — nothing per
 // item.
 struct ExecMetrics {
   obs::Timer& queue_wait = obs::registry().timer("exec.queue.wait");
@@ -172,29 +206,30 @@ struct ExecMetrics {
   }
 };
 
-// run_chunk plus instrumentation: queue-wait latency (`queued_ns` is the
-// submit timestamp; < 0 means the chunk never sat in the pool queue —
-// serial regions and the caller-run chunk 0), chunk wall time, chunk size
-// histogram, and a chrome-trace span carrying the worker's real thread
-// id. Returns the chunk duration in ns (0 when collection is off).
-int64_t run_chunk_instr(size_t begin, size_t end, bool fail_fast,
-                        const std::function<void(size_t)>& body,
-                        ChunkResult& result, int64_t queued_ns) {
+// run_slot plus instrumentation: queue-wait latency (`queued_ns` is the
+// submit timestamp; < 0 means the slot never sat in the pool queue —
+// serial regions and the caller's slot 0), slot wall time, items claimed,
+// and a chrome-trace span carrying the worker's real thread id. Every
+// slot records, including one that found nothing left to claim. Returns
+// the slot duration in ns (0 when collection is off).
+int64_t run_slot_instr(Claims& claims, bool fail_fast,
+                       const std::function<void(size_t)>& body, SlotResult& result,
+                       int64_t queued_ns) {
   const bool timing = obs::enabled();
   const bool tracing = obs::trace_enabled();
   if (!timing && !tracing) {
-    run_chunk(begin, end, fail_fast, body, result);
+    run_slot(claims, fail_fast, body, result);
     return 0;
   }
   ExecMetrics& m = ExecMetrics::get();
   const int64_t start = obs::now_ns();
-  if (timing) {
-    if (queued_ns >= 0) m.queue_wait.record_ns(start - queued_ns);
-    m.chunk_items.record_ns(static_cast<int64_t>(end - begin));
-  }
-  run_chunk(begin, end, fail_fast, body, result);
+  if (timing && queued_ns >= 0) m.queue_wait.record_ns(start - queued_ns);
+  run_slot(claims, fail_fast, body, result);
   const int64_t dur = obs::now_ns() - start;
-  if (timing) m.chunk_run.record_ns(dur);
+  if (timing) {
+    m.chunk_run.record_ns(dur);
+    m.chunk_items.record_ns(static_cast<int64_t>(result.claimed));
+  }
   obs::record_trace_event("exec.chunk.run", start, dur);
   return dur;
 }
@@ -220,26 +255,25 @@ namespace detail {
 
 namespace {
 
-// Reduces chunk results into the region outcome: cutoff = the minimum
-// stop index over chunks (completed set = [0, cutoff)), stop reason from
-// that chunk, and only failures below the cutoff survive. Single-chunk
-// regions pass a span of one.
-RegionOutcome reduce_chunks(size_t n, std::vector<ChunkResult>& results) {
+// Reduces slot results into the region outcome: cutoff = the minimum
+// stop index over slots (completed set = [0, cutoff)), stop reason from
+// that slot, and only failures below the cutoff survive, sorted by item.
+RegionOutcome reduce_slots(size_t n, std::vector<SlotResult>& results) {
   RegionOutcome out;
   out.cutoff = n;
-  for (const ChunkResult& r : results) {
+  for (const SlotResult& r : results) {
     if (r.stop_index < out.cutoff) {
       out.cutoff = r.stop_index;
       out.stop = r.stop;
     }
   }
-  // Chunks are contiguous ascending index ranges, so concatenating their
-  // failure lists in chunk order keeps item order ascending. Failures at
-  // or above the cutoff belong to discarded items and are dropped with
-  // them.
-  for (ChunkResult& r : results)
+  // Failures at or above the cutoff belong to discarded items and are
+  // dropped with them.
+  for (SlotResult& r : results)
     for (ItemFailure& f : r.failures)
       if (f.item < out.cutoff) out.failures.push_back(std::move(f));
+  std::sort(out.failures.begin(), out.failures.end(),
+            [](const ItemFailure& a, const ItemFailure& b) { return a.item < b.item; });
   if (out.stop != deadline::StopReason::none)
     deadline::record_stop_metrics(out.cutoff);
   return out;
@@ -256,22 +290,22 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
   want = std::min(want, (n + grain - 1) / grain);
   if (want < 1) want = 1;
 
-  // Serial (or nested) regions run the identical per-item code path on
-  // this thread, so results are bit-identical to any parallel schedule.
+  // Serial (or nested) regions run the identical claim loop on this
+  // thread, so results are bit-identical to any parallel schedule.
+  Claims claims(n, grain);
   if (want == 1 || in_region()) {
-    std::vector<ChunkResult> results(1);
-    run_chunk_instr(0, n, fail_fast, body, results[0], /*queued_ns=*/-1);
-    return reduce_chunks(n, results);
+    std::vector<SlotResult> results(1);
+    run_slot_instr(claims, fail_fast, body, results[0], /*queued_ns=*/-1);
+    return reduce_slots(n, results);
   }
 
   const bool timing = obs::enabled();
   const int64_t region_start = timing ? obs::now_ns() : 0;
 
-  const size_t chunk = (n + want - 1) / want;  // ceil; last chunk clipped
-  std::vector<ChunkResult> results(want);
-  // One slot per chunk, written only by the chunk's runner; read after
-  // the join to derive the region's busy/idle/imbalance gauges.
-  std::vector<int64_t> chunk_dur(want, 0);
+  std::vector<SlotResult> results(want);
+  // Written only by the slot's runner; read after the join to derive the
+  // region's busy/idle/imbalance gauges.
+  std::vector<int64_t> slot_dur(want, 0);
 
   struct Join {
     std::mutex mu;
@@ -284,11 +318,7 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
   for (size_t c = 1; c < want; ++c) {
     const int64_t submit_ns = timing ? obs::now_ns() : -1;
     pool.submit([&, c, submit_ns] {
-      const size_t begin = c * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      if (begin < end)
-        chunk_dur[c] =
-            run_chunk_instr(begin, end, fail_fast, body, results[c], submit_ns);
+      slot_dur[c] = run_slot_instr(claims, fail_fast, body, results[c], submit_ns);
       // Notify under the lock: the caller destroys `join` as soon as it
       // observes remaining == 0, which it can only do after we release
       // the mutex — so the condition variable outlives this call.
@@ -299,9 +329,8 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
       }
     });
   }
-  // The calling thread takes chunk 0, then joins.
-  chunk_dur[0] = run_chunk_instr(0, std::min(n, chunk), fail_fast, body,
-                                 results[0], /*queued_ns=*/-1);
+  // The calling thread runs slot 0, then joins.
+  slot_dur[0] = run_slot_instr(claims, fail_fast, body, results[0], /*queued_ns=*/-1);
   {
     std::unique_lock<std::mutex> lock(join.mu);
     join.cv.wait(lock, [&] { return join.remaining == 0; });
@@ -310,24 +339,24 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
   if (timing) {
     const int64_t wall = obs::now_ns() - region_start;
     int64_t busy = 0, max_dur = 0;
-    for (int64_t d : chunk_dur) {
+    for (int64_t d : slot_dur) {
       busy += d;
       max_dur = std::max(max_dur, d);
     }
     ExecMetrics& m = ExecMetrics::get();
     // busy/idle accumulate over the run; idle is the time the region's
-    // thread slots were not executing chunk bodies (queue wait, join).
+    // thread slots were not running (queue wait, join).
     m.busy.add(static_cast<double>(busy));
     const int64_t idle = static_cast<int64_t>(want) * wall - busy;
     m.idle.add(static_cast<double>(idle > 0 ? idle : 0));
-    // Imbalance = slowest chunk / mean chunk (1.0 = perfectly even); a
+    // Imbalance = slowest slot / mean slot (1.0 = perfectly even); a
     // per-region reading, last region wins.
     if (busy > 0)
       m.imbalance.set(static_cast<double>(max_dur) * static_cast<double>(want) /
                       static_cast<double>(busy));
   }
 
-  return reduce_chunks(n, results);
+  return reduce_slots(n, results);
 }
 
 void rethrow_first(const ItemFailure& failure) {

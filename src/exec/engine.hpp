@@ -7,9 +7,11 @@
 // instead of growing ad-hoc threads per subsystem. Determinism contract
 // (docs/parallelism.md):
 //
-//  - Static chunking: items [0, n) are split into T contiguous chunks by
-//    index. Which thread runs a chunk is scheduler-dependent; which items
-//    form a chunk is not, and no item's computation depends on another's.
+//  - Ascending dynamic claiming: each of the T thread slots claims the
+//    next block of `grain` item indices (one by default) from a shared
+//    counter, so expensive items never pile up behind one thread. Which
+//    slot runs an item is scheduler-dependent; no item's computation
+//    depends on another's.
 //  - Ordered reduction: results land in a slot vector by item index and
 //    callers reduce in index order after the join, so sums, argmins, and
 //    "first failure" are identical at any thread count.
@@ -17,29 +19,31 @@
 //    Rng(derive_stream_seed(seed, i)) — SplitMix64 substreams that are a
 //    pure function of (seed, i), never of execution order.
 //  - Fault injection stays deterministic: each item runs under a
-//    fault::ScopedStream(i), so armed sites fire on the same items at any
-//    thread count (see util/faultinject.hpp).
-//  - Metrics stay exact: each chunk buffers counter increments AND timer
+//    fault::ScopedStream of its index (derived from the enclosing item's
+//    stream in a nested region), so armed sites fire on the same items at
+//    any thread count (see util/faultinject.hpp).
+//  - Metrics stay exact: each slot buffers counter increments AND timer
 //    samples (histogram buckets included) in a per-thread
 //    obs::MetricShard merged at join — no lock, no shared cache line on
 //    the hot path, and reported totals/quantiles are bit-identical at
 //    any thread count. The engine itself exports exec.* scheduler
-//    metrics (queue-wait/chunk histograms, busy/idle/imbalance gauges)
+//    metrics (queue-wait/slot histograms, busy/idle/imbalance gauges)
 //    when collection is on — see docs/observability.md.
 //
 // Error semantics: parallel_for / parallel_map are fail-fast — the error
-// of the LOWEST failing item index is rethrown after the join (chunks
-// stop at their first failure; later items of other chunks may still have
-// run, which is fine because items are side-effect-free by contract).
+// of the LOWEST failing item index is rethrown after the join (the first
+// failure stops all claiming; items claimed before it still run, which
+// is fine because items are side-effect-free by contract, and claims are
+// ascending, so every lower index has run too).
 // parallel_try_map implements the PR-2 skip-and-record degradation
 // semantics: every failure is captured per item and returned alongside
 // the surviving values, ascending by item index.
 //
 // Deadlines & cancellation (docs/robustness.md): every item boundary
 // polls pim::deadline::check() under the item's fault stream. A stop is
-// reported with *prefix-cutoff* semantics: each chunk records the first
-// item index at which the stop triggered, the region's cutoff is the
-// minimum over chunks, the completed set is exactly [0, cutoff), and any
+// reported with *prefix-cutoff* semantics: a slot records the item index
+// at which the stop triggered and claiming stops, the region's cutoff is
+// the minimum over slots, the completed set is exactly [0, cutoff), and any
 // results computed at indices >= cutoff are discarded. Since per-item
 // work is index-pure, every item below the cutoff carries a bit-identical
 // result at any thread count; with the fault-injected stop sites the
@@ -82,9 +86,10 @@ int threads();
 struct ParallelOptions {
   /// Worker count for this region; 0 uses the global threads() default.
   int threads = 0;
-  /// Minimum items per chunk: regions with fewer than 2*grain items run
-  /// on proportionally fewer threads (a 3-item sweep never spins up 8
-  /// workers). Chunking stays static either way.
+  /// Items per claim, and so the minimum per thread slot: regions with
+  /// fewer than 2*grain items run on proportionally fewer threads (a
+  /// 3-item sweep never spins up 8 workers). Regions of many cheap items
+  /// raise it so a claim costs little next to the work it hands out.
   size_t grain = 1;
 };
 
@@ -105,10 +110,10 @@ struct RegionOutcome {
   size_t cutoff = 0;  ///< completed items are exactly [0, cutoff)
 };
 
-/// Core runner: executes body(i) for i in [0, n) over static contiguous
-/// chunks on the shared pool, with per-item fault streams, per-item
-/// deadline/cancel polls, and per-chunk metric shards. fail_fast stops
-/// each chunk at its first failure.
+/// Core runner: executes body(i) for i in [0, n) on thread slots of the
+/// shared pool that claim ascending blocks of `grain` indices, with
+/// per-item fault streams, per-item deadline/cancel polls, and per-slot
+/// metric shards. A stop, or with fail_fast a failure, ends all claiming.
 RegionOutcome run_region(size_t n, const ParallelOptions& options,
                          bool fail_fast,
                          const std::function<void(size_t)>& body);
@@ -196,8 +201,8 @@ BatchResult<R> parallel_try_map(size_t n, const std::function<R(size_t)>& fn,
       n, options, /*fail_fast=*/false, [&](size_t i) { out.values[i] = fn(i); });
   out.stop = outcome.stop;
   out.completed = outcome.cutoff;
-  // Prefix-cutoff discard: a chunk past the cutoff may have computed some
-  // values before its own stop triggered; dropping them keeps the
+  // Prefix-cutoff discard: items claimed past the cutoff may have run
+  // before the stop was seen; dropping their values keeps the
   // completed set exactly [0, cutoff) at any thread count.
   for (size_t i = out.completed; i < n; ++i) out.values[i].reset();
   out.failed.reserve(outcome.failures.size());

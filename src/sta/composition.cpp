@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "charlib/characterize.hpp"
+#include "exec/engine.hpp"
 #include "numeric/leastsq.hpp"
 #include "numeric/regression.hpp"
 #include "util/error.hpp"
@@ -13,10 +14,8 @@ namespace {
 
 // One training configuration with its golden measurement.
 struct Sample {
-  int drive;
-  double segment;
-  double input_slew;
-  int repeaters;
+  LinkContext ctx;
+  LinkDesign design;
   double golden;
   double ci;
   double c_wire;  // Miller-weighted wire capacitance of one segment
@@ -24,53 +23,51 @@ struct Sample {
   double wr;      // NMOS width (fall-edge symmetric device)
 };
 
-// Fits the two weights of one style class against golden chains. The
-// model's inter-stage slew depends on kappa_c (through the stage load),
-// so the linear least squares is wrapped in a short fixed-point
-// iteration: compute the slew chain with the current weights, refit,
-// repeat. Training on multi-stage chains (not just single stages) lets
-// the weights absorb the waveform-shape error an NLDM-style slew metric
-// cannot see (the long RC tail a real driven wire hands the next stage).
-CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& fit,
-                                   DesignStyle style, const CompositionOptions& options) {
-  const RepeaterEdgeFit& f = fit.edge_fit(CellKind::Inverter, false);
-
+// The training chains of one style class, golden delays not yet measured.
+std::vector<Sample> training_samples(const Technology& tech, const TechnologyFit& fit,
+                                     DesignStyle style,
+                                     const CompositionOptions& options) {
   std::vector<Sample> samples;
   for (int drive : options.drives) {
     const RepeaterSizing sz = repeater_sizing(tech, CellKind::Inverter, drive);
     for (double seg : options.segment_lengths) {
       for (double slew : options.input_slews) {
         for (int n : options.chain_lengths) {
-          LinkContext ctx;
-          ctx.layer = options.layer;
-          ctx.style = style;
-          ctx.length = seg * n;
-          ctx.input_slew = slew;
-
-          LinkDesign design;
-          design.kind = CellKind::Inverter;
-          design.drive = drive;
-          design.num_repeaters = n;
-
-          const LinkGeometry g(tech, ctx, design);
           Sample s;
-          s.drive = drive;
-          s.segment = seg;
-          s.input_slew = slew;
-          s.repeaters = n;
+          s.ctx.layer = options.layer;
+          s.ctx.style = style;
+          s.ctx.length = seg * n;
+          s.ctx.input_slew = slew;
+          s.design.kind = CellKind::Inverter;
+          s.design.drive = drive;
+          s.design.num_repeaters = n;
+
+          const LinkGeometry g(tech, s.ctx, s.design);
           s.ci = fit.gamma * (sz.wn_out + sz.wp_out);
-          s.c_wire = g.seg_cap_ground + design.miller_factor * g.seg_cap_couple_total;
+          s.c_wire = g.seg_cap_ground + s.design.miller_factor * g.seg_cap_couple_total;
           s.d_pam = g.seg_res *
                     (0.4 * g.seg_cap_ground +
-                     0.5 * design.miller_factor * g.seg_cap_couple_total + 0.7 * s.ci);
+                     0.5 * s.design.miller_factor * g.seg_cap_couple_total + 0.7 * s.ci);
           s.wr = sz.wn_out;
-          s.golden = signoff_link(tech, ctx, design, options.signoff).delay;
           samples.push_back(s);
         }
       }
     }
   }
   require(samples.size() >= 3, "calibrate_composition: training set too small");
+  return samples;
+}
+
+// Fits the two weights of one style class against its golden chains. The
+// model's inter-stage slew depends on kappa_c (through the stage load),
+// so the linear least squares is wrapped in a short fixed-point
+// iteration: compute the slew chain with the current weights, refit,
+// repeat. Training on multi-stage chains (not just single stages) lets
+// the weights absorb the waveform-shape error an NLDM-style slew metric
+// cannot see (the long RC tail a real driven wire hands the next stage).
+CompositionWeights fit_style_class(const TechnologyFit& fit,
+                                   const std::vector<Sample>& samples) {
+  const RepeaterEdgeFit& f = fit.edge_fit(CellKind::Inverter, false);
 
   CompositionWeights w;  // start from the paper's raw composition (1, 1, 1)
   Vector predicted(samples.size());
@@ -83,12 +80,12 @@ CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& 
       // error: short and long configurations count equally.
       const double scale = 1.0 / s.golden;
       // Slew chain under the current kappa_c.
-      double slew = s.input_slew;
+      double slew = s.ctx.input_slew;
       double sum_i = 0.0;
       double sum_rd_ci = 0.0;
       double sum_rho0_cw = 0.0;  // slew-independent driver-wire interaction
       double sum_rho1_cw = 0.0;  // slew-dependent driver-wire interaction
-      for (int k = 0; k < s.repeaters; ++k) {
+      for (int k = 0; k < s.design.num_repeaters; ++k) {
         const double rd = f.drive_resistance(slew, s.wr);
         sum_i += f.a0 + f.a1 * slew + f.a2 * slew * slew;
         sum_rd_ci += rd * s.ci;
@@ -98,7 +95,7 @@ CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& 
       }
       a(i, 0) = scale * sum_rho0_cw;
       a(i, 1) = scale * sum_rho1_cw;
-      a(i, 2) = scale * s.repeaters * s.d_pam;
+      a(i, 2) = scale * s.design.num_repeaters * s.d_pam;
       y[i] = scale * (s.golden - sum_i - sum_rd_ci);
     }
     // Ridge-regularized toward the paper's raw composition (all weights
@@ -149,8 +146,23 @@ CompositionWeights fit_style_class(const Technology& tech, const TechnologyFit& 
 
 TechnologyFit calibrate_composition(const Technology& tech, TechnologyFit fit,
                                     const CompositionOptions& options) {
-  fit.comp_coupled = fit_style_class(tech, fit, DesignStyle::SingleSpacing, options);
-  fit.comp_shielded = fit_style_class(tech, fit, DesignStyle::Shielded, options);
+  std::vector<Sample> coupled =
+      training_samples(tech, fit, DesignStyle::SingleSpacing, options);
+  std::vector<Sample> shielded = training_samples(tech, fit, DesignStyle::Shielded, options);
+  // Every golden chain of both classes in one region: the coupled
+  // five-line chains cost far more than the shielded ones, and dynamic
+  // claiming spreads them over the slots.
+  const auto sample = [&](size_t i) -> Sample& {
+    return i < coupled.size() ? coupled[i] : shielded[i - coupled.size()];
+  };
+  const std::vector<double> golden = exec::parallel_map<double>(
+      coupled.size() + shielded.size(), [&](size_t i) {
+        const Sample& s = sample(i);
+        return signoff_link(tech, s.ctx, s.design, options.signoff).delay;
+      });
+  for (size_t i = 0; i < golden.size(); ++i) sample(i).golden = golden[i];
+  fit.comp_coupled = fit_style_class(fit, coupled);
+  fit.comp_shielded = fit_style_class(fit, shielded);
   return fit;
 }
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "charlib/characterize.hpp"
+#include "exec/engine.hpp"
 #include "models/baseline.hpp"
 #include "numeric/regression.hpp"
 #include "spice/transient.hpp"
@@ -65,7 +67,7 @@ double noise_peak_model(const Technology& tech, const TechnologyFit& fit,
 }
 
 NoiseCalibration calibrate_noise(const Technology& tech, const TechnologyFit& fit) {
-  Vector raw, golden;
+  std::vector<std::pair<LinkContext, LinkDesign>> decks;
   for (int drive : {8, 20}) {
     for (double seg : {0.4e-3, 1.0e-3, 1.8e-3}) {
       LinkContext ctx;
@@ -75,10 +77,14 @@ NoiseCalibration calibrate_noise(const Technology& tech, const TechnologyFit& fi
       d.kind = CellKind::Inverter;
       d.drive = drive;
       d.num_repeaters = 1;
-      raw.push_back(noise_peak_model(tech, fit, ctx, d, 1.0));
-      golden.push_back(golden_noise_peak(tech, ctx, d));
+      decks.emplace_back(ctx, d);
     }
   }
+  const Vector golden = exec::parallel_map<double>(decks.size(), [&](size_t i) {
+    return golden_noise_peak(tech, decks[i].first, decks[i].second);
+  });
+  Vector raw;
+  for (const auto& [ctx, d] : decks) raw.push_back(noise_peak_model(tech, fit, ctx, d, 1.0));
   NoiseCalibration cal;
   cal.kappa_n = fit_linear_zero_intercept(raw, golden).slope;
   double worst = 0.0;

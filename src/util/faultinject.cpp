@@ -214,4 +214,14 @@ ScopedStream::~ScopedStream() {
   if (!ctx.item_rngs.empty()) ctx.item_rngs.clear();
 }
 
+StreamFork::StreamFork() {
+  const StreamContext& ctx = stream_context();
+  nested_ = ctx.active;
+  base_ = ctx.stream;
+}
+
+uint64_t StreamFork::item(uint64_t index) const {
+  return nested_ ? derive_stream_seed(base_, index) : index;
+}
+
 }  // namespace pim::fault

@@ -31,7 +31,9 @@
 // index (the exec engine does this automatically): draws then come from a
 // thread-local stream derived purely from (site seed, item index), so
 // WHICH items see an injected fault is identical at any thread count —
-// faults stay deterministic even inside parallel sweeps.
+// faults stay deterministic even inside parallel sweeps. Items of a
+// nested region derive their stream from the enclosing item's
+// (StreamFork).
 #pragma once
 
 #include <atomic>
@@ -99,6 +101,22 @@ class ScopedStream {
  private:
   bool prev_active_;
   uint64_t prev_stream_;
+};
+
+/// Stream ids for the items of one parallel region, resolved on the
+/// thread that enters the region. At top level item i draws stream i.
+/// Inside an enclosing item's stream (a nested region), item i draws a
+/// substream derived from (enclosing stream, i), so the nested items
+/// under each enclosing item see their own faults — still a pure
+/// function of the item path, independent of thread count.
+class StreamFork {
+ public:
+  StreamFork();
+  uint64_t item(uint64_t index) const;
+
+ private:
+  bool nested_;
+  uint64_t base_;
 };
 
 }  // namespace pim::fault

@@ -150,6 +150,12 @@ double link_delay_within_die(const ProposedModel& model, const LinkContext& ctx,
 
 namespace {
 
+// A Monte-Carlo sample is a microsecond-scale model evaluation, so the
+// engine hands samples out in blocks: one shared-counter claim per block
+// rather than per sample. Which samples run, and their streams, do not
+// depend on it.
+constexpr exec::ParallelOptions kSampleBlocks{.grain = 64};
+
 // Shared tail of both Monte-Carlo flavors: ordered reduction over the
 // batch (index order, so sums and tallies are bit-identical at any
 // thread count), failure accounting, then the summary statistics.
@@ -200,7 +206,8 @@ MonteCarloResult monte_carlo_link_within_die(const ProposedModel& model,
         if (fault::should_fire(fault::kVariationSample))
           fail("monte_carlo_link_within_die: injected sample fault", ErrorCode::internal);
         return link_delay_within_die(model, ctx, design, rng, sigmas);
-      });
+      },
+      kSampleBlocks);
   MonteCarloResult result = reduce_batch<double>(
       batch, [](const double& d) { return d; }, "monte_carlo_link_within_die");
   result.nominal_delay = model.evaluate(ctx, design).delay;
@@ -230,7 +237,8 @@ MonteCarloResult monte_carlo_link(const ProposedModel& model, const LinkContext&
           fail("monte_carlo_link: injected sample fault", ErrorCode::internal);
         const LinkEstimate est = evaluate_with_variation(model, context, design, s);
         return SamplePoint{est.delay, est.total_power()};
-      });
+      },
+      kSampleBlocks);
   MonteCarloResult result = reduce_batch<SamplePoint>(
       batch, [](const SamplePoint& p) { return p.delay; }, "monte_carlo_link");
   result.nominal_delay = model.evaluate(context, design).delay;

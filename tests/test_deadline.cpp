@@ -25,6 +25,7 @@
 #include "charlib/characterize.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "sta/calibrated.hpp"
+#include "sta/signoff.hpp"
 #include "cosi/synthesis.hpp"
 #include "deadline/deadline.hpp"
 #include "exec/engine.hpp"
@@ -370,37 +371,60 @@ TEST_F(DeadlineFixture, CharlibPatchesTruncatedTailWhenQuorumHolds) {
   EXPECT_EQ(cell.rise.delay(1, 0), ref.rise.delay(1, 0));
 }
 
-TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
-  // A fit has no partial semantics and its cache key carries no deadline
-  // state: a stop that leaves charlib's quorum intact must surface the
-  // typed error from corner_calibrated_fit, and neither cache tier may
-  // keep coefficients regressed from the patched tables.
-  struct ScratchCache {
-    std::string dir;
-    ScratchCache() : dir(::testing::TempDir() + "pim_deadline_fit_cache") {
-      std::filesystem::remove_all(dir);
-      cache::set_dir(dir);
-      cache::set_mode(cache::Mode::ReadWrite);
-      cache::Store::global().clear_memory();
-    }
-    ~ScratchCache() {
-      cache::Store::global().clear_memory();
-      cache::reset_mode();
-      cache::set_dir("");
-      std::filesystem::remove_all(dir);
-    }
-  } scratch;
+// A private read-write result cache for one calibrated-fit test. Each
+// test names its own directory: ctest runs them as concurrent processes.
+struct ScratchFitCache {
+  std::string dir;
+  explicit ScratchFitCache(const std::string& name) : dir(::testing::TempDir() + name) {
+    std::filesystem::remove_all(dir);
+    cache::set_dir(dir);
+    cache::set_mode(cache::Mode::ReadWrite);
+    cache::Store::global().clear_memory();
+  }
+  ~ScratchFitCache() {
+    cache::Store::global().clear_memory();
+    cache::reset_mode();
+    cache::set_dir("");
+    std::filesystem::remove_all(dir);
+  }
+  // Regular files under the cache directory: entries and manifests.
+  size_t files_on_disk() const {
+    if (!std::filesystem::exists(dir)) return 0;
+    size_t files = 0;
+    for (const auto& entry : std::filesystem::recursive_directory_iterator(dir))
+      if (entry.is_regular_file()) ++files;
+    return files;
+  }
+};
 
+// A 2x2 sweep per cell (4 exec items) and 16 training chains per style
+// class (32 exec items for the golden composition batch).
+CharacterizationOptions tiny_characterization() {
   CharacterizationOptions copt;
   copt.slew_axis = {20 * ps, 100 * ps};
   copt.fanout_axis = {2.0, 8.0};
   copt.drives = {2, 8, 32};
   copt.buffers = false;
+  return copt;
+}
+
+CompositionOptions tiny_composition() {
   CompositionOptions comp;
   comp.drives = {8, 32};
   comp.segment_lengths = {0.5e-3, 1.5e-3};
   comp.input_slews = {50e-12, 300e-12};
   comp.chain_lengths = {1, 3};
+  return comp;
+}
+
+TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
+  // A fit has no partial semantics and its cache key carries no deadline
+  // state: a stop that leaves charlib's quorum intact must surface the
+  // typed error from corner_calibrated_fit, and neither cache tier may
+  // keep coefficients regressed from the patched tables.
+  const ScratchFitCache scratch("pim_deadline_fit_cache");
+  const CharacterizationOptions copt = tiny_characterization();
+  const CompositionOptions comp = tiny_composition();
 
   // Seed whose first fire lands on the last of the 2x2 sweep's four
   // points, so the quorum holds and characterization itself degrades to
@@ -432,6 +456,92 @@ TEST_F(DeadlineFixture, CalibratedFitRefusesTruncatedLibraryAndNeverCaches) {
   const TechnologyFit truth =
       corner_calibrated_fit(TechNode::N65, Corner{}, "", copt, comp);
   EXPECT_EQ(write_fit(clean), write_fit(truth));
+}
+
+// As predicted_cutoff, for golden composition chains: after its own poll
+// each chain polls the two sign-off launches of a nested region, whose
+// streams derive from the chain's. Returns the first chain whose own poll
+// fires (n when none does), or n + 1 when a launch poll fires first.
+size_t predicted_chain_cutoff(const char* site, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    fault::ScopedStream chain(i);
+    if (fault::should_fire(site)) return i;
+    const fault::StreamFork launches;
+    for (uint64_t j = 0; j < 2; ++j) {
+      fault::ScopedStream launch(launches.item(j));
+      if (fault::should_fire(site)) return n + 1;
+    }
+  }
+  return n;
+}
+
+TEST_F(DeadlineFixture, CompositionStopFailsTheFitTypedAndNeverCaches) {
+  // Composition calibration polls at every golden-chain boundary. A stop
+  // there leaves the fit without its weights, so corner_calibrated_fit
+  // surfaces the typed error, and neither an entry nor a manifest lands.
+  const ScratchFitCache scratch("pim_deadline_composition_cache");
+  const CharacterizationOptions copt = tiny_characterization();
+  const CompositionOptions comp = tiny_composition();
+
+  // Seed whose first fire lands on a chain's own poll inside the 32-item
+  // composition batch, past every index the 4-item charlib sweeps and
+  // their 2-lane transient batches poll, with no launch poll of a lower
+  // chain firing first.
+  constexpr size_t kChains = 32;
+  uint64_t chosen = 0;
+  size_t cutoff = 0;
+  for (uint64_t seed = 1; seed < 400 && chosen == 0; ++seed) {
+    fault::configure("deadline-expire:0.05:" + std::to_string(seed));
+    cutoff = predicted_chain_cutoff(fault::kDeadlineExpire, kChains);
+    if (cutoff >= 8 && cutoff < kChains) chosen = seed;
+  }
+  ASSERT_NE(chosen, 0u) << "no seed with a cutoff in [8, 32) in range";
+  fault::configure("deadline-expire:0.05:" + std::to_string(chosen));
+
+  try {
+    corner_calibrated_fit(TechNode::N65, Corner{}, "", copt, comp);
+    FAIL() << "expected deadline_exceeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::deadline_exceeded);
+    const std::string stopped = "stopped after " + std::to_string(cutoff) + "/" +
+                                std::to_string(kChains) + " items";
+    EXPECT_NE(std::string(e.what()).find(stopped), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(cache::Store::global().memory_entries(), 0u);
+  EXPECT_EQ(scratch.files_on_disk(), 0u);
+}
+
+TEST_F(DeadlineFixture, SignoffStopBetweenLaunchesFailsTyped) {
+  // signoff_link polls before each of its two launches. A stop landing
+  // on the falling launch leaves one polarity, which is no sign-off: the
+  // call fails with the typed error at any thread count.
+  std::string spec;
+  for (uint64_t seed = 1; seed < 200 && spec.empty(); ++seed) {
+    fault::configure("deadline-expire:0.5:" + std::to_string(seed));
+    if (predicted_cutoff(fault::kDeadlineExpire, 2) == 1)
+      spec = "deadline-expire:0.5:" + std::to_string(seed);
+  }
+  ASSERT_FALSE(spec.empty()) << "no seed stopping at the falling launch in range";
+
+  const Technology& tech = technology(TechNode::N65);
+  LinkContext ctx;
+  ctx.length = 1 * mm;
+  ctx.input_slew = 100 * ps;
+  LinkDesign design;
+  design.drive = 16;
+  design.num_repeaters = 1;
+  for (int threads : {1, 4}) {
+    fault::configure(spec);
+    exec::set_threads(threads);
+    try {
+      signoff_link(tech, ctx, design);
+      ADD_FAILURE() << "expected deadline_exceeded, threads=" << threads;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::deadline_exceeded) << "threads=" << threads;
+      EXPECT_NE(std::string(e.what()).find("stopped after 1/2 items"), std::string::npos)
+          << "threads=" << threads << ": " << e.what();
+    }
+  }
 }
 
 // ------------------------------------------------------------------ cosi

@@ -1,24 +1,32 @@
 // pim::exec engine suite: thread-count resolution, full coverage of the
-// parallel primitives, and the determinism contract — bit-identical
-// results at any --threads count for seeded RNG streams, Monte-Carlo
-// yield, characterization tables, and NoC synthesis, with and without
-// injected faults. Also the concurrency-exactness guarantees: metric
+// parallel primitives, the scheduling contract under uneven item costs,
+// and the determinism contract — bit-identical results at any --threads
+// count for seeded RNG streams, Monte-Carlo yield, characterization
+// tables, composition calibration, golden sign-off, and NoC synthesis,
+// with and without injected faults. Also the concurrency-exactness guarantees: metric
 // shards lose no counts and fault fire counts stay exact under threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "charlib/characterize.hpp"
+#include "charlib/coeffs_io.hpp"
+#include "charlib/fit.hpp"
 #include "cosi/synthesis.hpp"
 #include "cosi/testcases.hpp"
 #include "exec/engine.hpp"
 #include "models/baseline.hpp"
 #include "models/proposed.hpp"
 #include "obs/metrics.hpp"
+#include "sta/composition.hpp"
+#include "sta/signoff.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
@@ -264,6 +272,135 @@ TEST_F(ExecFixture, SchedulerMetricsCoverQueueWaitAndChunkShape) {
   EXPECT_EQ(queue_wait.count(), 3);
 }
 
+// ------------------------------------------------- scheduling contract
+
+// Busy-waits for `us` microseconds of wall time.
+void spin_us(int64_t us) {
+  const auto until = std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// The item index at which `site` first fires under per-item streams,
+// or n when it never does within [0, n).
+size_t predicted_cutoff(const char* site, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    fault::ScopedStream stream(i);
+    if (fault::should_fire(site)) return i;
+  }
+  return n;
+}
+
+TEST_F(ExecFixture, RisingItemCostKeepsTheContractAtAnyThreadCount) {
+  // Item cost rises with the index, so slots finish out of index order:
+  // a slot holding a late, expensive item is still running while others
+  // have moved on, and failures surface in scheduler order. A grain of 5
+  // hands out blocks, so a slot may halt with a block half done.
+  const size_t n = 48;
+  const auto cost = [](size_t i) { spin_us(static_cast<int64_t>(20 * i)); };
+  const std::vector<size_t> failing = {13, 14, 29, 40};
+  const auto fails = [&](size_t i) {
+    return std::find(failing.begin(), failing.end(), i) != failing.end();
+  };
+  const std::string spec = "deadline-expire:0.05:3";
+  fault::configure(spec);
+  const size_t cutoff = predicted_cutoff(fault::kDeadlineExpire, n);
+  ASSERT_GT(cutoff, 0u) << "seed fires at item 0; pick another";
+  ASSERT_LT(cutoff, n) << "seed never fires; pick another";
+
+  for (const size_t grain : {size_t{1}, size_t{5}}) {
+    for (int t : {1, 2, 8}) {
+      const exec::ParallelOptions opt{.threads = t, .grain = grain};
+      const std::string where = "threads=" + std::to_string(t) + " grain=" + std::to_string(grain);
+      fault::clear();
+      try {
+        exec::parallel_for(
+            n,
+            [&](size_t i) {
+              cost(i);
+              if (fails(i)) fail("boom at " + std::to_string(i), ErrorCode::internal);
+            },
+            opt);
+        ADD_FAILURE() << "expected the item error to propagate, " << where;
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("parallel item #13"), std::string::npos)
+            << where << ": " << e.what();
+      }
+
+      // Skip-and-record keeps every failure, sorted by index at the reduce.
+      const auto batch = exec::parallel_try_map<size_t>(
+          n,
+          [&](size_t i) {
+            cost(i);
+            if (fails(i)) fail("boom", ErrorCode::internal);
+            return i;
+          },
+          opt);
+      EXPECT_EQ(batch.failed, failing) << where;
+
+      fault::configure(spec);
+      const auto stopped = exec::parallel_try_map<size_t>(
+          n,
+          [&](size_t i) {
+            cost(i);
+            return i;
+          },
+          opt);
+      EXPECT_EQ(stopped.stop, deadline::StopReason::deadline_exceeded) << where;
+      EXPECT_EQ(stopped.completed, cutoff) << where;
+      for (size_t i = 0; i < n; ++i)
+        EXPECT_EQ(stopped.values[i].has_value(), i < cutoff) << where << " item " << i;
+
+      fault::clear();
+      obs::registry().reset();
+      exec::parallel_for(n, cost, opt);
+      obs::Timer& chunk_run = obs::registry().timer("exec.chunk.run");
+      obs::Timer& chunk_items = obs::registry().timer("exec.chunk.items");
+      EXPECT_EQ(chunk_run.count(), t) << where << ": one span per slot";
+      EXPECT_EQ(chunk_items.count(), t) << where;
+      EXPECT_EQ(chunk_items.total_ns(), static_cast<int64_t>(n)) << where << ": items, not ns";
+    }
+  }
+}
+
+TEST_F(ExecFixture, SlotThatClaimsNothingStillRecordsItsSpan) {
+  // A holder region with more slots than any other region in this binary
+  // requests occupies every pool worker until released, so the worker
+  // slot of the region under test queues until its caller slot has
+  // claimed every item — and then finds nothing left to claim. The pool
+  // grows to the largest region any earlier test asked for: at most 8
+  // explicit threads, or the default threads() count.
+  const int kHold = std::max({16, exec::hardware_threads(), exec::threads()}) + 1;
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    exec::parallel_for(
+        kHold,
+        [&](size_t) {
+          holding.fetch_add(1);
+          while (!release.load()) std::this_thread::sleep_for(std::chrono::microseconds(100));
+        },
+        {.threads = kHold});
+  });
+  while (holding.load() < kHold) std::this_thread::sleep_for(std::chrono::microseconds(100));
+  obs::registry().reset();
+
+  const size_t n = 5;
+  exec::parallel_for(
+      n, [&](size_t i) { if (i == n - 1) release.store(true); }, {.threads = 2});
+  holder.join();
+
+  // Holder: one span per slot, one item each. Region under test: two
+  // spans, one holding all n items and one empty.
+  obs::Timer& chunk_run = obs::registry().timer("exec.chunk.run");
+  obs::Timer& chunk_items = obs::registry().timer("exec.chunk.items");
+  EXPECT_EQ(chunk_run.count(), kHold + 2);
+  EXPECT_EQ(chunk_items.count(), kHold + 2);
+  EXPECT_EQ(chunk_items.total_ns(), static_cast<int64_t>(kHold + n));
+  EXPECT_EQ(chunk_items.min_ns(), 0);
+  EXPECT_EQ(chunk_items.max_ns(), static_cast<int64_t>(n));
+}
+
 // -------------------------------------------------------------- faults
 
 TEST_F(ExecFixture, FaultFiresAreExactAndThreadCountInvariant) {
@@ -391,6 +528,69 @@ TEST_F(ExecFixture, CharacterizationTablesAreBitIdenticalAcrossThreadCounts) {
         EXPECT_EQ(b.delay(i, j), a.delay(i, j)) << i << "," << j;
         EXPECT_EQ(b.out_slew(i, j), a.out_slew(i, j)) << i << "," << j;
       }
+  }
+}
+
+// Cheap-but-real characterization and composition settings (as in
+// test_scenario): the golden flows below simulate real chains.
+CharacterizationOptions cheap_characterization() {
+  CharacterizationOptions copt;
+  copt.drives = {2, 8, 32};
+  copt.buffers = false;
+  return copt;
+}
+
+CompositionOptions cheap_composition() {
+  CompositionOptions comp;
+  comp.drives = {8, 32};
+  comp.segment_lengths = {0.5e-3, 1.5e-3};
+  comp.input_slews = {50e-12, 300e-12};
+  comp.chain_lengths = {1, 3};
+  return comp;
+}
+
+void expect_same_weights(const CompositionWeights& a, const CompositionWeights& b,
+                         int threads) {
+  EXPECT_EQ(a.kappa_c, b.kappa_c) << "threads=" << threads;
+  EXPECT_EQ(a.kappa_c1, b.kappa_c1) << "threads=" << threads;
+  EXPECT_EQ(a.kappa_w, b.kappa_w) << "threads=" << threads;
+  EXPECT_EQ(a.worst_rel_error, b.worst_rel_error) << "threads=" << threads;
+}
+
+TEST_F(ExecFixture, CompositionCalibrationIsBitIdenticalAcrossThreadCounts) {
+  const Technology& tech = technology(TechNode::N65);
+  const TechnologyFit base =
+      fit_technology(tech, characterize_library(tech, cheap_characterization()));
+
+  exec::set_threads(1);
+  const TechnologyFit serial = calibrate_composition(tech, base, cheap_composition());
+  for (int t : {2, 8}) {
+    exec::set_threads(t);
+    const TechnologyFit threaded = calibrate_composition(tech, base, cheap_composition());
+    expect_same_weights(threaded.comp_coupled, serial.comp_coupled, t);
+    expect_same_weights(threaded.comp_shielded, serial.comp_shielded, t);
+    EXPECT_EQ(write_fit(threaded), write_fit(serial)) << "threads=" << t;
+  }
+}
+
+TEST_F(ExecFixture, SignoffLinkIsBitIdenticalAcrossThreadCounts) {
+  const Technology& tech = technology(TechNode::N65);
+  LinkDesign design;
+  design.drive = 16;
+  design.num_repeaters = 3;
+  for (const DesignStyle style : {DesignStyle::SingleSpacing, DesignStyle::Shielded}) {
+    LinkContext ctx;
+    ctx.style = style;
+    ctx.length = 3 * mm;
+    ctx.input_slew = 100 * ps;
+    exec::set_threads(1);
+    const SignoffResult serial = signoff_link(tech, ctx, design);
+    exec::set_threads(4);
+    const SignoffResult threaded = signoff_link(tech, ctx, design);
+    EXPECT_GT(serial.delay, 0.0);
+    EXPECT_EQ(threaded.delay, serial.delay);
+    EXPECT_EQ(threaded.output_slew, serial.output_slew);
+    EXPECT_EQ(threaded.node_count, serial.node_count);
   }
 }
 

@@ -8,12 +8,15 @@
 // injection state never leaks between cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "charlib/characterize.hpp"
 #include "cosi/mesh.hpp"
 #include "cosi/synthesis.hpp"
+#include "exec/engine.hpp"
 #include "models/baseline.hpp"
 #include "models/proposed.hpp"
 #include "numeric/lu.hpp"
@@ -21,6 +24,7 @@
 #include "spice/deck.hpp"
 #include "spice/measure.hpp"
 #include "spice/transient.hpp"
+#include "sta/signoff.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
 #include "util/faultinject.hpp"
@@ -279,6 +283,107 @@ TEST_F(FaultFixture, WithinDieMonteCarloAlsoDegrades) {
   const MonteCarloResult mc = monte_carlo_link_within_die(model, ctx, design, 150, 5);
   EXPECT_GT(mc.failed_samples, 0);
   EXPECT_EQ(mc.delays.size() + static_cast<size_t>(mc.failed_samples), 150u);
+}
+
+// -------------------------------------------------------- nested regions
+
+TEST_F(FaultFixture, NestedRegionItemsDeriveTheirStreamsFromTheEnclosingItem) {
+  // Each outer item runs a nested 4-item region. The nested items draw
+  // substreams of the outer item's stream, so the outer items see
+  // different inner patterns, identically at any thread count.
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 4;
+  const auto pattern = [&](int t) {
+    fault::configure("variation.sample:0.5:9");
+    std::vector<char> fired(kOuter * kInner, 0);
+    exec::parallel_for(
+        kOuter,
+        [&](size_t i) {
+          exec::parallel_for(kInner, [&](size_t j) {
+            fired[i * kInner + j] = fault::should_fire(fault::kVariationSample) ? 1 : 0;
+          });
+        },
+        {.threads = t});
+    return fired;
+  };
+  const std::vector<char> serial = pattern(1);
+  for (int t : {2, 8}) EXPECT_EQ(pattern(t), serial) << "threads=" << t;
+  bool differs = false;
+  for (size_t i = 1; i < kOuter; ++i)
+    differs = differs || !std::equal(serial.begin() + i * kInner,
+                                     serial.begin() + (i + 1) * kInner, serial.begin());
+  EXPECT_TRUE(differs) << "every outer item repeated item 0's inner pattern";
+}
+
+TEST_F(FaultFixture, GoldenSignoffUnderLuFaultsIsDeterministicPerChain) {
+  // lu.singular armed over a small golden batch, run two ways: back to
+  // back at top level, as run_batch serves its items, and as the items of
+  // one region, as composition calibration runs its chains. Both are
+  // identical at 1 and 4 threads. In the region each chain's two
+  // launches draw substreams of the chain's stream, so identical chains
+  // still see different faults.
+  const Technology& tech = technology(TechNode::N65);
+  LinkContext ctx;
+  ctx.style = DesignStyle::Shielded;
+  ctx.length = 1 * mm;
+  ctx.input_slew = 100 * ps;
+  LinkDesign design;
+  design.drive = 16;
+  design.num_repeaters = 1;
+  constexpr size_t kLinks = 4;
+  const std::string spec = "lu.singular:0.002:17";
+
+  struct Outcome {
+    double delay = 0.0;  // 0 when the sign-off failed
+    int64_t fired = 0;   // lu.singular fires during this link
+    bool operator==(const Outcome&) const = default;
+  };
+  const auto one = [&] {
+    const int64_t before = fault::fired_count(fault::kLuSingular);
+    Outcome o;
+    try {
+      o.delay = signoff_link(tech, ctx, design).delay;
+    } catch (const Error&) {
+    }
+    o.fired = fault::fired_count(fault::kLuSingular) - before;
+    return o;
+  };
+  const auto batch = [&](int t) {
+    exec::set_threads(t);
+    fault::configure(spec);
+    std::vector<Outcome> out;
+    for (size_t i = 0; i < kLinks; ++i) out.push_back(one());
+    return out;
+  };
+  // At one thread the chains run one after another, so each chain's
+  // fire count is its own; with more threads only the total is.
+  const auto chains = [&](int t, int64_t* total) {
+    exec::set_threads(t);
+    fault::configure(spec);
+    const std::vector<Outcome> out =
+        exec::parallel_map<Outcome>(kLinks, [&](size_t) { return one(); });
+    *total = fault::fired_count(fault::kLuSingular);
+    return out;
+  };
+
+  const std::vector<Outcome> serial_batch = batch(1);
+  EXPECT_EQ(batch(4), serial_batch);
+  int64_t batch_fired = 0;
+  for (const Outcome& o : serial_batch) batch_fired += o.fired;
+  EXPECT_GT(batch_fired, 0) << "raise the probability: nothing fired";
+
+  int64_t serial_total = 0;
+  int64_t threaded_total = 0;
+  const std::vector<Outcome> serial_chains = chains(1, &serial_total);
+  const std::vector<Outcome> threaded_chains = chains(4, &threaded_total);
+  EXPECT_EQ(threaded_total, serial_total);
+  for (size_t i = 0; i < kLinks; ++i)
+    EXPECT_EQ(threaded_chains[i].delay, serial_chains[i].delay) << "chain " << i;
+  bool differs = false;
+  for (size_t i = 1; i < kLinks; ++i)
+    differs = differs || !(serial_chains[i] == serial_chains[0]);
+  EXPECT_TRUE(differs) << "every chain saw chain 0's faults";
+  exec::set_threads(0);
 }
 
 // ------------------------------------------------------------- charlib
