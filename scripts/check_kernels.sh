@@ -1,52 +1,36 @@
 #!/usr/bin/env bash
-# SIMD determinism gate (docs/kernels.md): builds the tree twice, with
-# -DPIM_SIMD=ON and OFF, and asserts the full flow is byte-identical
-# between the two — the flag may only toggle vectorization *hints* in
-# the SoA device kernels, never arithmetic. Each variant fits its own
-# coefficients with the result cache off (so neither can shortcut
-# through the other's cached characterization), then `pim evaluate` and
-# `pim yield` outputs are compared across both variants at --threads 1
-# and 4, which also re-checks the thread-count determinism contract
-# through the batched transient engine.
+# Kernel determinism gate (docs/kernels.md): fits fresh coefficients
+# with the result cache off, so the whole transistor-level
+# characterization runs through the batched transient engine and its
+# memoized device kernels, then asserts that `pim evaluate` and
+# `pim yield` outputs are byte-identical at --threads 1 and 4.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# No -G: reuse whatever generator build/ was configured with.
+cmake -B build >/dev/null
+cmake --build build --target pim_cli >/dev/null
 
 workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
-for simd in ON OFF; do
-  echo "=== build -DPIM_SIMD=$simd ==="
-  cmake -B "build-simd-$simd" -G Ninja -DPIM_SIMD=$simd >/dev/null
-  cmake --build "build-simd-$simd" --target pim >/dev/null
-done
-
+pim=./build/tools/pim
+coeffs="$workdir/coeffs.pimfit"
 common=(--cache off --out-dir "$workdir/out" --ledger off --log-level warn)
 
-for simd in ON OFF; do
-  pim="./build-simd-$simd/tools/pim"
-  coeffs="$workdir/coeffs-$simd.pimfit"
-  echo "=== pim fit (SIMD=$simd) ==="
-  "$pim" fit 45nm --coeffs "$coeffs" --threads 4 "${common[@]}" >/dev/null
-  for threads in 1 4; do
-    "$pim" evaluate 45nm --length 5 --coeffs "$coeffs" --threads $threads \
-      "${common[@]}" > "$workdir/evaluate-$simd-$threads.txt"
-    "$pim" yield 45nm --length 3 --samples 200 --coeffs "$coeffs" \
-      --threads $threads "${common[@]}" > "$workdir/yield-$simd-$threads.txt"
-  done
+echo "=== pim fit (fresh, cache off) ==="
+"$pim" fit 45nm --coeffs "$coeffs" --threads 4 "${common[@]}" >/dev/null
+for threads in 1 4; do
+  "$pim" evaluate 45nm --length 5 --coeffs "$coeffs" --threads $threads \
+    "${common[@]}" > "$workdir/evaluate-$threads.txt"
+  "$pim" yield 45nm --length 3 --samples 200 --coeffs "$coeffs" \
+    --threads $threads "${common[@]}" > "$workdir/yield-$threads.txt"
 done
 
 echo "=== compare ==="
-# Fitted coefficients must match byte-for-byte: the whole transistor-level
-# characterization ran through the kernels in both variants.
-cmp "$workdir/coeffs-ON.pimfit" "$workdir/coeffs-OFF.pimfit" \
-  || { echo "check_kernels: coefficient files differ between SIMD variants"; exit 1; }
-
 for cmd in evaluate yield; do
-  ref="$workdir/$cmd-ON-1.txt"
-  for variant in ON-4 OFF-1 OFF-4; do
-    cmp "$ref" "$workdir/$cmd-$variant.txt" \
-      || { echo "check_kernels: pim $cmd output differs ($variant vs ON-1)"; exit 1; }
-  done
+  cmp "$workdir/$cmd-1.txt" "$workdir/$cmd-4.txt" \
+    || { echo "check_kernels: pim $cmd output differs (--threads 4 vs 1)"; exit 1; }
 done
 
-echo "check_kernels: OK (SIMD ON/OFF byte-identical at --threads 1 and 4)"
+echo "check_kernels: OK (byte-identical at --threads 1 and 4)"

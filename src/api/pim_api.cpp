@@ -181,6 +181,41 @@ std::shared_ptr<const ProposedModel> resident_model_of(const Technology& base,
   return model;
 }
 
+// Resident noise calibrations, keyed like the resident models by the
+// fit's content-cache key. calibrate_noise is a pure function of the
+// (corner-derated) tech and the fit, and the key pins both, so a memo hit
+// returns exactly what re-running the six calibration decks would. Same
+// bypass rule as the model memo. A calibration stopped by a deadline or
+// cancel throws out of calibrate_noise, so only completed ones are stored.
+std::mutex& noise_mutex() {
+  static std::mutex m;
+  return m;
+}
+
+std::map<std::string, NoiseCalibration>& noise_memo() {
+  static std::map<std::string, NoiseCalibration> m;
+  return m;
+}
+
+NoiseCalibration resident_noise_calibration(const Technology& tech,
+                                            const ResidentFit& rf) {
+  const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
+  if (memo_enabled) {
+    std::lock_guard<std::mutex> lock(noise_mutex());
+    const auto it = noise_memo().find(rf.key_hex);
+    if (it != noise_memo().end()) {
+      PIM_COUNT("noise.resident.hit");
+      return it->second;
+    }
+  }
+  const NoiseCalibration cal = calibrate_noise(tech, *rf.fit);
+  if (memo_enabled) {
+    std::lock_guard<std::mutex> lock(noise_mutex());
+    noise_memo()[rf.key_hex] = cal;
+  }
+  return cal;
+}
+
 SocSpec spec_of(const std::string& which, const char* who) {
   require(!which.empty(),
           std::string(who) + ": spec is required (dvopd, vproc, mpeg4, mwd, or a .soc file)",
@@ -341,7 +376,7 @@ Expected<NoiseResult> run_noise(const NoiseRequest& request) {
     design.num_repeaters = 1;  // noise is per wire segment
     const ResidentFit resident = resident_corner_fit(base, corner, request.link.coeffs_path);
     const TechnologyFit& fit = *resident.fit;
-    const NoiseCalibration cal = calibrate_noise(tech, fit);
+    const NoiseCalibration cal = resident_noise_calibration(tech, resident);
     const double golden = golden_noise_peak(tech, ctx, design);
     const double model = noise_peak_model(tech, fit, ctx, design, cal.kappa_n);
     NoiseResult result;

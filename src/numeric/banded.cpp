@@ -124,19 +124,24 @@ void BandedLu::solve_in_place(Vector& x) const {
          ErrorCode::internal);
   const size_t kl = lu_.lower_;
   const size_t ku = lu_.upper_;
+  // Direct band indexing: the loop bounds keep every (r, c) inside the
+  // band, so the bounds-checked at() would only re-test that. Entry
+  // (r, c) lives at band[(ku + r - c) * n + c].
+  const double* band = lu_.band_.data();
+  double* xs = x.data();
   // Forward substitution (unit-lower factor).
   for (size_t k = 0; k < n; ++k) {
-    const double xk = x[k];
+    const double xk = xs[k];
     if (xk == 0.0) continue;
     const size_t r_hi = std::min(n - 1, k + kl);
-    for (size_t r = k + 1; r <= r_hi; ++r) x[r] -= lu_.at(r, k) * xk;
+    for (size_t r = k + 1; r <= r_hi; ++r) xs[r] -= band[(ku + r - k) * n + k] * xk;
   }
   // Back substitution (upper factor).
   for (size_t ri = n; ri-- > 0;) {
-    double acc = x[ri];
+    double acc = xs[ri];
     const size_t c_hi = std::min(n - 1, ri + ku);
-    for (size_t c = ri + 1; c <= c_hi; ++c) acc -= lu_.at(ri, c) * x[c];
-    x[ri] = acc / lu_.at(ri, ri);
+    for (size_t c = ri + 1; c <= c_hi; ++c) acc -= band[(ku + ri - c) * n + c] * xs[c];
+    xs[ri] = acc / band[ku * n + ri];
   }
 }
 

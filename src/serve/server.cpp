@@ -441,9 +441,12 @@ void Server::start() {
   s.started = Clock::now();
   for (int i = 0; i < s.options.workers; ++i)
     s.worker_threads.emplace_back([&s] { s.worker_loop(); });
+  // The listener fd is captured by value: stop() resets the member while
+  // an accept thread may still be starting up.
   if (s.unix_fd >= 0)
-    s.accept_threads.emplace_back([&s] { s.accept_loop(s.unix_fd); });
-  if (s.tcp_fd >= 0) s.accept_threads.emplace_back([&s] { s.accept_loop(s.tcp_fd); });
+    s.accept_threads.emplace_back([&s, fd = s.unix_fd] { s.accept_loop(fd); });
+  if (s.tcp_fd >= 0)
+    s.accept_threads.emplace_back([&s, fd = s.tcp_fd] { s.accept_loop(fd); });
   log_info("pimd: serving",
            s.options.socket_path.empty() ? "" : " on " + s.options.socket_path,
            s.bound_tcp_port >= 0 ? " tcp 127.0.0.1:" + std::to_string(s.bound_tcp_port)

@@ -21,7 +21,7 @@ namespace pim {
 namespace {
 
 // All mutable state of one lane. Lanes never read each other's state:
-// the lockstep structure batches the device evaluations, not the math.
+// the lockstep structure shares the time grid, not the math.
 struct Lane {
   size_t index = 0;  // position in the caller's lane list
 
@@ -29,6 +29,10 @@ struct Lane {
   std::vector<double> cap_farads;
   std::vector<double> ksw;
   std::vector<Waveform> waves;
+
+  // Per-device memo of the vgs-only half of the device evaluation
+  // (kernels::DriveMemo), shared by Newton passes and source currents.
+  std::vector<kernels::DriveMemo> drive;
 
   // Dynamic state, mirroring the scalar solver exactly.
   Vector v_node;
@@ -207,6 +211,7 @@ class BatchEngine {
       lane.waves[si] = wave;
     }
 
+    lane.drive.assign(plan_.devices.count, kernels::DriveMemo{});
     lane.v_node.assign(plan_.node_count, 0.0);
     lane.cap_current.assign(lane.cap_farads.size(), 0.0);
     lane.cap_geq.resize(lane.cap_farads.size());
@@ -269,7 +274,7 @@ class BatchEngine {
     const long steps = static_cast<long>(std::ceil(opt_.t_stop / opt_.dt - 1e-9));
     for (long k = 1; k <= steps; ++k) {
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
-      lockstep_advance(wave, t, opt_.dt, opt_.integrator, true,
+      lockstep_advance(wave, t, opt_.dt, opt_.integrator, opt_.integrate_sources,
                        /*inputs_const=*/false);
       for (Lane& lane : wave)
         if (!lane.failed) record(lane, t);
@@ -420,8 +425,8 @@ class BatchEngine {
   }
 
   // One timestep attempt for every lane in `cohort`, lockstep: shared
-  // time grid, per-iteration device evaluation in one contiguous SoA
-  // pass across all still-iterating lanes. Sets lane.converged.
+  // time grid and one Newton iteration of every still-iterating lane per
+  // round. Sets lane.converged.
   void step_cohort(std::vector<Lane*>& cohort, double t, double dt,
                    Integrator integrator, bool record_sources) {
     const size_t un = static_cast<size_t>(plan_.unknown_count);
@@ -471,7 +476,6 @@ class BatchEngine {
       lane.converged = false;
     }
 
-    const size_t dev_count = plan_.devices.count;
     for (int iter = 0; iter < opt_.max_newton; ++iter) {
       iterating_.clear();
       for (Lane* lp : cohort)
@@ -482,20 +486,19 @@ class BatchEngine {
         ++lp->n_solves;
       }
 
-      eval_devices(iterating_);
-
-      for (size_t pi = 0; pi < iterating_.size(); ++pi) {
-        Lane& lane = *iterating_[pi];
+      for (Lane* lp : iterating_) {
+        Lane& lane = *lp;
         const Vector* solution = nullptr;
         if (un > 0) {
-          // Assemble: copy the step base, scatter this lane's device
-          // stamps through the plan's precomputed slots, factor, solve.
+          // Assemble: copy the step base, stamp this lane's device
+          // linearizations through the plan's precomputed slots, factor,
+          // solve.
           std::vector<double>& mat = plan_.use_banded
                                          ? lane.band_lu->values()
                                          : lane.work_dense->storage();
           mat = lane.base_mat;
           lane.rhs = lane.base_rhs;
-          scatter_devices(lane, pi * dev_count);
+          stamp_devices(lane);
           Expected<void> factored =
               plan_.use_banded ? lane.band_lu->refactor()
                                : lane.dense_lu.refactor(*lane.work_dense);
@@ -548,73 +551,21 @@ class BatchEngine {
     }
   }
 
-  // One contiguous SoA pass over all devices of all still-iterating
-  // lanes. A single-lane cohort points the kernel straight at the plan's
-  // parameter arrays (no tiling) — the common case for large sign-off
-  // decks; multi-lane cohorts tile parameters per lane.
-  void eval_devices(std::vector<Lane*>& lanes) {
+  // Evaluates every device of one lane around its current iterate and
+  // stamps the linearizations into its matrix and RHS, preserving the
+  // scalar engine's per-device emission order.
+  void stamp_devices(Lane& lane) {
     const DeviceArrays& d = plan_.devices;
-    const size_t dn = d.count;
-    const size_t total = dn * lanes.size();
-    vg_.resize(total);
-    vd_.resize(total);
-    vs_.resize(total);
-    out_id_.resize(total);
-    out_dg_.resize(total);
-    out_dd_.resize(total);
-    out_ds_.resize(total);
-    for (size_t pi = 0; pi < lanes.size(); ++pi) {
-      const Vector& v = lanes[pi]->v_node;
-      const size_t off = pi * dn;
-      for (size_t i = 0; i < dn; ++i) {
-        vg_[off + i] = v[static_cast<size_t>(d.gate[i])];
-        vd_[off + i] = v[static_cast<size_t>(d.drain[i])];
-        vs_[off + i] = v[static_cast<size_t>(d.source[i])];
-      }
-    }
-    if (total == 0) return;
-    if (lanes.size() == 1) {
-      kernels::eval_alpha_power_batch(
-          dn, d.sign.data(), lanes[0]->ksw.data(), d.vth.data(), d.alpha.data(),
-          d.k_vdsat.data(), d.lambda.data(), d.nvt.data(), vg_.data(), vd_.data(),
-          vs_.data(), out_id_.data(), out_dg_.data(), out_dd_.data(),
-          out_ds_.data());
-      return;
-    }
-    tile_sign_.resize(total);
-    tile_ksw_.resize(total);
-    tile_vth_.resize(total);
-    tile_alpha_.resize(total);
-    tile_kvdsat_.resize(total);
-    tile_lambda_.resize(total);
-    tile_nvt_.resize(total);
-    for (size_t pi = 0; pi < lanes.size(); ++pi) {
-      const size_t off = pi * dn;
-      std::copy(d.sign.begin(), d.sign.end(), tile_sign_.begin() + off);
-      std::copy(lanes[pi]->ksw.begin(), lanes[pi]->ksw.end(), tile_ksw_.begin() + off);
-      std::copy(d.vth.begin(), d.vth.end(), tile_vth_.begin() + off);
-      std::copy(d.alpha.begin(), d.alpha.end(), tile_alpha_.begin() + off);
-      std::copy(d.k_vdsat.begin(), d.k_vdsat.end(), tile_kvdsat_.begin() + off);
-      std::copy(d.lambda.begin(), d.lambda.end(), tile_lambda_.begin() + off);
-      std::copy(d.nvt.begin(), d.nvt.end(), tile_nvt_.begin() + off);
-    }
-    kernels::eval_alpha_power_batch(
-        total, tile_sign_.data(), tile_ksw_.data(), tile_vth_.data(),
-        tile_alpha_.data(), tile_kvdsat_.data(), tile_lambda_.data(),
-        tile_nvt_.data(), vg_.data(), vd_.data(), vs_.data(), out_id_.data(),
-        out_dg_.data(), out_dd_.data(), out_ds_.data());
-  }
-
-  // Scatters one lane's device linearizations into its matrix and RHS,
-  // preserving the scalar engine's per-device emission order.
-  void scatter_devices(Lane& lane, size_t off) {
     std::vector<double>& mat = plan_.use_banded ? lane.band_lu->values()
                                                 : lane.work_dense->storage();
-    const size_t dn = plan_.devices.count;
-    for (size_t i = 0; i < dn; ++i) {
-      const double dg = out_dg_[off + i];
-      const double dd = out_dd_[off + i];
-      const double ds = out_ds_[off + i];
+    for (size_t i = 0; i < d.count; ++i) {
+      const double vg = lane.v_node[static_cast<size_t>(d.gate[i])];
+      const double vd = lane.v_node[static_cast<size_t>(d.drain[i])];
+      const double vs = lane.v_node[static_cast<size_t>(d.source[i])];
+      double i_d, dg, dd, ds;
+      kernels::eval_branch_memo(lane.drive[i], d.sign[i], lane.ksw[i], d.vth[i],
+                                d.alpha[i], d.k_vdsat[i], d.lambda[i], d.nvt[i], vg,
+                                vd, vs, i_d, dg, dd, ds);
       const double vals[6] = {dg, dd, ds, -dg, -dd, -ds};
       const auto& stamps = plan_.dev_stamps[i];
       for (int j = 0; j < 6; ++j) {
@@ -625,11 +576,7 @@ class BatchEngine {
           lane.rhs[static_cast<size_t>(st.rhs)] -=
               vals[j] * lane.v_node[static_cast<size_t>(st.node)];
       }
-      const double vg = vg_[off + i];
-      const double vd = vd_[off + i];
-      const double vs = vs_[off + i];
-      const double i_eq =
-          out_id_[off + i] - dg * vg - dd * vd - ds * vs;
+      const double i_eq = i_d - dg * vg - dd * vd - ds * vs;
       if (plan_.dev_rhs_drain[i] >= 0)
         lane.rhs[static_cast<size_t>(plan_.dev_rhs_drain[i])] += -i_eq;
       if (plan_.dev_rhs_source[i] >= 0)
@@ -640,7 +587,7 @@ class BatchEngine {
   // One source's delivered current from the lane's current state, via
   // the plan's precomputed touch lists (same element scan order and
   // arithmetic as the scalar accumulate_sources()).
-  double source_current(const Lane& lane, size_t si) const {
+  double source_current(Lane& lane, size_t si) const {
     const DeviceArrays& d = plan_.devices;
     const auto& touches = plan_.source_touches[si];
     double current = 0.0;
@@ -652,8 +599,8 @@ class BatchEngine {
     for (const auto& dv : touches.dev) {
       const size_t i = static_cast<size_t>(dv.dev);
       double i_d, dg, dd, ds;
-      kernels::eval_branch_folded(
-          d.sign[i], lane.ksw[i], d.vth[i], d.alpha[i], d.k_vdsat[i],
+      kernels::eval_branch_memo(
+          lane.drive[i], d.sign[i], lane.ksw[i], d.vth[i], d.alpha[i], d.k_vdsat[i],
           d.lambda[i], d.nvt[i], lane.v_node[static_cast<size_t>(d.gate[i])],
           lane.v_node[static_cast<size_t>(d.drain[i])],
           lane.v_node[static_cast<size_t>(d.source[i])], i_d, dg, dd, ds);
@@ -692,9 +639,6 @@ class BatchEngine {
 
   // Engine scratch (reused across steps/iterations; no per-solve allocs).
   std::vector<Lane*> cohort_, solo_, iterating_;
-  std::vector<double> vg_, vd_, vs_, out_id_, out_dg_, out_dd_, out_ds_;
-  std::vector<double> tile_sign_, tile_ksw_, tile_vth_, tile_alpha_,
-      tile_kvdsat_, tile_lambda_, tile_nvt_;
 };
 
 }  // namespace

@@ -3,10 +3,9 @@
 // run_transient_batch() runs N parameter-perturbed lanes (variants) of
 // the same compiled deck in lockstep: all lanes share one read-only
 // CompiledCircuit, advance through the same time grid together, and the
-// per-iteration device evaluations of every in-flight lane are gathered
-// into one contiguous structure-of-arrays pass over
-// kernels::eval_alpha_power_batch. Each lane keeps its own voltages,
-// companion state, matrix, and reusable LU factorization, so lanes are
+// Newton iterations of every in-flight lane run round by round. Each lane
+// keeps its own voltages, companion state, device-drive memo
+// (kernels::DriveMemo), matrix, and reusable LU factorization, so lanes are
 // numerically independent: a lane that fails (Newton divergence, NaN
 // poisoning, singular system) carries a typed error while its siblings
 // run to completion.

@@ -299,7 +299,7 @@ class TransientSolver {
       cap_current_[i] = cap_geq_[i] * v_ab - cap_ieq_[i];
     }
 
-    if (result != nullptr) accumulate_sources(*result, dt);
+    if (result != nullptr && opt_.integrate_sources) accumulate_sources(*result, dt);
     return true;
   }
 

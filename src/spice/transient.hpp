@@ -40,10 +40,15 @@ struct TransientOptions {
   /// half-steps, recursively, up to this many halvings (dt shrinks by as
   /// much as 2^max_step_halvings) before the run surfaces no_convergence.
   int max_step_halvings = 4;
+  /// Integrate per-source charge and energy over the main window. Callers
+  /// that read only traces (sign-off, noise) turn it off; `time` and
+  /// `traces` are bit-identical either way, and `sources` then stays zero.
+  bool integrate_sources = true;
 };
 
 /// Per-source integrated quantities over the main window (not the
-/// settling pre-roll), in vsource declaration order.
+/// settling pre-roll), in vsource declaration order. Zero when
+/// TransientOptions::integrate_sources is off.
 struct SourceTotals {
   double charge = 0.0;  ///< integral of delivered current [C]
   double energy = 0.0;  ///< integral of v * i [J]

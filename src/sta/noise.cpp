@@ -29,6 +29,7 @@ double golden_noise_peak(const Technology& tech, const LinkContext& ctx,
   sim.t_stop = 50e-12 + ctx.input_slew + 4.0 * estimate + opt.window_margin;
   sim.t_settle = 2e-9;
   sim.settle_steps = 250;
+  sim.integrate_sources = false;  // only the victim trace is measured
   const TransientResult res = run_transient(net.circuit, sim, {net.victim_out});
 
   // The quiet victim wire sits at vdd; the glitch is the dip below it.

@@ -181,6 +181,7 @@ SignoffResult signoff_link(const Technology& tech, const LinkContext& ctx,
   sim.t_stop = kEdgeStart + ctx.input_slew + 3.0 * estimate + opt.window_margin;
   sim.t_settle = 2e-9;
   sim.settle_steps = 250;
+  sim.integrate_sources = false;  // only the traces are measured
   const bool inverted = design.kind == CellKind::Inverter && (design.num_repeaters % 2 == 1);
 
   // The rising (item 0) and falling (item 1) launches are independent

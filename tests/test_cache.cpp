@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "api/pim_api.hpp"
+#include "api/wire.hpp"
 #include "buffering/optimize.hpp"
 #include "cache/invalidate.hpp"
 #include "cache/key.hpp"
@@ -840,6 +842,82 @@ TEST_F(CachedFlowsFixture, IncrementalRecomputeIsBitIdenticalAcrossThreads) {
     EXPECT_EQ(remc.sigma_delay, cold_mc.sigma_delay);
   }
   exec::set_threads(0);
+}
+
+// Resident noise calibration (api::run_noise): the six calibration decks
+// run once per fit, and a warm request reuses the stored kappa_n. The
+// fit comes from a reduced-deck coefficient file, so every transient
+// these tests count is a noise deck. The memo is process-wide, so each
+// test that may fill it uses a node no other test fills.
+class ResidentNoiseFixture : public CachedFlowsFixture {
+ protected:
+  void SetUp() override {
+    CachedFlowsFixture::SetUp();
+    coeffs_ = dir_ + ".pimfit";
+    obs::set_enabled(true);
+  }
+  void TearDown() override {
+    fault::clear();
+    obs::set_enabled(false);
+    obs::registry().reset();
+    std::filesystem::remove(coeffs_);
+    CachedFlowsFixture::TearDown();
+  }
+  api::NoiseRequest request(TechNode node) const {
+    save_fit(calibrated_fit(node, "", char_options(), comp_options()), coeffs_);
+    api::NoiseRequest req;
+    req.link.tech = technology(node).name;
+    req.link.length_mm = 1.0;
+    req.link.coeffs_path = coeffs_;
+    return req;
+  }
+  // Transient runs of the last api call (each call resets the registry).
+  static int64_t runs() { return obs::registry().counter("spice.transient.runs").value(); }
+
+  std::string coeffs_;
+};
+
+TEST_F(ResidentNoiseFixture, WarmRequestReusesTheCalibrationByteIdentically) {
+  const api::NoiseRequest req = request(TechNode::N65);
+  const auto cold = api::run_noise(req);
+  ASSERT_TRUE(cold.ok()) << cold.error().what();
+  EXPECT_EQ(runs(), 7);  // six calibration decks + the request's own deck
+  const auto warm = api::run_noise(req);
+  ASSERT_TRUE(warm.ok()) << warm.error().what();
+  EXPECT_EQ(runs(), 1);
+  EXPECT_EQ(obs::registry().counter("noise.resident.hit").value(), 1);
+  EXPECT_EQ(api::wire::to_json(warm.value()), api::wire::to_json(cold.value()));
+}
+
+TEST_F(ResidentNoiseFixture, CacheOffAndArmedFaultsBypassTheMemo) {
+  const api::NoiseRequest req = request(TechNode::N90);
+  set_mode(Mode::Off);
+  for (int call = 0; call < 2; ++call) {
+    ASSERT_TRUE(api::run_noise(req).ok());
+    EXPECT_EQ(runs(), 7) << "cache off, call " << call;
+  }
+  reset_mode();
+  set_mode(Mode::ReadWrite);
+  fault::configure("io.open:0");  // armed, never fires
+  for (int call = 0; call < 2; ++call) {
+    ASSERT_TRUE(api::run_noise(req).ok());
+    EXPECT_EQ(runs(), 7) << "fault harness armed, call " << call;
+  }
+}
+
+TEST_F(ResidentNoiseFixture, DeadlineStoppedCalibrationIsNotMemoized) {
+  // Nothing polls the deadline before the calibration region, and its six
+  // decks take far longer than 1 ms, so the stop lands inside it.
+  const api::NoiseRequest req = request(TechNode::N45);
+  api::NoiseRequest rushed = req;
+  rushed.deadline_ms = 1;
+  const auto stopped = api::run_noise(rushed);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.error().code(), ErrorCode::deadline_exceeded);
+  EXPECT_NE(std::string(stopped.error().what()).find("/6 items"), std::string::npos)
+      << stopped.error().what();
+  ASSERT_TRUE(api::run_noise(req).ok());
+  EXPECT_EQ(runs(), 7);
 }
 
 }  // namespace

@@ -478,6 +478,55 @@ TEST(BandedLu, RefactorIsBitwiseIdenticalToFreshFactorization) {
   }
 }
 
+// FNV-1a over the raw bytes of every entry: a compact fingerprint of a
+// solution's exact bits.
+uint64_t bits_digest(const Vector& x) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (double v : x) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char b : bytes) h = (h ^ b) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Pins the elimination and substitution order of BandedLu. The scalar
+// reference and the batched transient engine share this solver, so their
+// bit-identity tests cannot see a change in its arithmetic; these digests
+// can. The right-hand side opens with exact zeros (and carries one more
+// mid-vector) so the forward substitution's zero-skip runs.
+TEST(BandedLu, SolutionBitsArePinned) {
+  struct Case {
+    size_t n, kl, ku;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {40, 1, 1, 0x4b3bbe784b840befull}, {40, 3, 3, 0x136d63b16c5ded57ull},
+      {40, 5, 5, 0x80d2c3819c056f6full}, {10, 0, 2, 0x01548089b7720a1full},
+      {30, 3, 1, 0x86232d5094990eb1ull}, {50, 1, 5, 0x1f2ddb7c2746c6c1ull},
+      {80, 6, 0, 0x02fce11d4835fee1ull},
+  };
+  for (const Case& k : cases) {
+    BandedMatrix a(k.n, k.kl, k.ku);
+    Rng rng(1000 + 100 * k.n + 10 * k.kl + k.ku);
+    for (size_t r = 0; r < k.n; ++r)
+      for (size_t c = 0; c < k.n; ++c)
+        if (a.in_band(r, c))
+          a.add(r, c, r == c ? 4.0 + k.kl + k.ku + rng.uniform(0, 1) : rng.uniform(-1, 1));
+    Vector b(k.n);
+    for (double& v : b) v = rng.uniform(-2, 2);
+    b[0] = 0.0;
+    b[1] = 0.0;
+    b[k.n / 2] = 0.0;
+    const BandedLu lu(a);
+    Vector x = b;
+    lu.solve_in_place(x);
+    EXPECT_EQ(bits_digest(x), k.digest)
+        << "n=" << k.n << " kl=" << k.kl << " ku=" << k.ku << " digest 0x"
+        << std::hex << bits_digest(x);
+  }
+}
+
 TEST(BandedLu, RefactorRejectsShapeMismatchAndBatchedSolveMatches) {
   BandedLu lu(8, 2, 2);
   EXPECT_THROW(lu.refactor(random_banded(8, 1, 5)), Error);

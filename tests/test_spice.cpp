@@ -16,6 +16,8 @@
 #include "spice/measure.hpp"
 #include "spice/mosfet.hpp"
 #include "spice/transient.hpp"
+#include "sta/signoff.hpp"
+#include "tech/technology.hpp"
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -459,7 +461,7 @@ TEST(Measure, FallingEdge) {
 // compare the raw representations (EXPECT_EQ would let -0.0 == +0.0 slip).
 bool bits_equal(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
 
-void expect_bit_identical(const TransientResult& a, const TransientResult& b) {
+void expect_traces_bit_identical(const TransientResult& a, const TransientResult& b) {
   ASSERT_EQ(a.time.size(), b.time.size());
   for (size_t i = 0; i < a.time.size(); ++i)
     ASSERT_TRUE(bits_equal(a.time[i], b.time[i])) << "time[" << i << "]";
@@ -471,6 +473,10 @@ void expect_bit_identical(const TransientResult& a, const TransientResult& b) {
       ASSERT_TRUE(bits_equal(a.traces[t].values[i], b.traces[t].values[i]))
           << "trace " << t << " sample " << i;
   }
+}
+
+void expect_bit_identical(const TransientResult& a, const TransientResult& b) {
+  expect_traces_bit_identical(a, b);
   ASSERT_EQ(a.sources.size(), b.sources.size());
   for (size_t s = 0; s < a.sources.size(); ++s) {
     ASSERT_TRUE(bits_equal(a.sources[s].charge, b.sources[s].charge)) << s;
@@ -538,6 +544,65 @@ TEST(TransientBatch, SingleLaneMatchesReferenceBitExact) {
     opt.band_threshold = threshold;
     expect_bit_identical(run_transient(inv.c, opt, {inv.in, inv.out}),
                          run_transient_reference(inv.c, opt, {inv.in, inv.out}));
+  }
+
+  // Five-line SS sign-off decks: a 5-diagonal band, with aggressor
+  // coupling that drives devices through triode, subthreshold and
+  // reverse-vds operation, where the batched engine serves the vgs-only
+  // half of each evaluation from its per-device memo.
+  const Technology& tech = technology(TechNode::N65);
+  LinkContext ctx;
+  ctx.style = DesignStyle::SingleSpacing;
+  ctx.length = 1.0 * mm;
+  ctx.input_slew = 60.0 * ps;
+  LinkDesign design;
+  design.drive = 8;
+  design.num_repeaters = 2;
+  SignoffOptions sopt;
+  sopt.pi_per_segment = 2;
+  std::vector<LinkNetlist> decks;
+  for (bool rising : {true, false})
+    decks.push_back(build_link_netlist(tech, ctx, design, sopt, rising));
+  SignoffOptions quiet = sopt;
+  quiet.aggressors = AggressorMode::VictimQuiet;
+  LinkDesign segment = design;
+  segment.num_repeaters = 1;
+  decks.push_back(build_link_netlist(tech, ctx, segment, quiet, true));
+  const TransientOptions opt = batch_test_options();
+  TransientOptions traces_only = opt;
+  traces_only.integrate_sources = false;
+  for (const LinkNetlist& deck : decks) {
+    const std::vector<NodeId> probes = {deck.victim_in, deck.victim_out};
+    const TransientResult ref = run_transient_reference(deck.circuit, opt, probes);
+    expect_bit_identical(run_transient(deck.circuit, opt, probes), ref);
+    // Skipping source integration changes neither time nor traces.
+    const TransientResult lean = run_transient(deck.circuit, traces_only, probes);
+    expect_traces_bit_identical(lean, ref);
+    for (const SourceTotals& s : lean.sources) {
+      EXPECT_EQ(s.charge, 0.0);
+      EXPECT_EQ(s.energy, 0.0);
+    }
+  }
+
+  // A two-lane cohort of the SS deck matches the same lanes run solo.
+  const LinkNetlist& ss = decks.front();
+  const CompiledCircuit plan = CompiledCircuit::compile(ss.circuit, opt.band_threshold);
+  std::vector<LaneSpec> lanes(2);
+  lanes[1].mosfet_width.push_back({0, 1.5 * ss.circuit.mosfets()[0].width});
+  lanes[1].cap_farads.push_back({3, 1.25 * ss.circuit.capacitors()[3].farads});
+  BatchOptions cohort;
+  cohort.wave_width = 2;
+  BatchOptions solo;
+  solo.wave_width = 1;
+  for (const TransientOptions& o : {opt, traces_only}) {
+    const std::vector<NodeId> probes = {ss.victim_in, ss.victim_out};
+    TransientBatch together = run_transient_batch(plan, o, probes, lanes, cohort);
+    TransientBatch apart = run_transient_batch(plan, o, probes, lanes, solo);
+    for (size_t i = 0; i < lanes.size(); ++i) {
+      ASSERT_TRUE(together.lanes[i].ok()) << "lane " << i;
+      ASSERT_TRUE(apart.lanes[i].ok()) << "lane " << i;
+      expect_bit_identical(together.lanes[i].value(), apart.lanes[i].value());
+    }
   }
 }
 
