@@ -7,19 +7,21 @@
 # cancellation suite (stop polls racing worker chunks), the serving
 # daemon (accept/reader/worker threads racing admission, flush, and
 # drain), the batched transient engine (lanes sharing one read-only
-# CompiledCircuit), and the charlib sweep (exec workers running 2-lane
-# batches off one shared plan at several thread counts). Any data race
+# CompiledCircuit), the charlib sweep (exec workers running 2-lane
+# batches off one shared plan at several thread counts), and the wire
+# suite (run_batch items running concurrently on thread-scoped deadlines
+# and single-flight resident memos). Any data race
 # fails the script. Uses its own build directory so the main build/
 # tree and the ASan tree stay untouched.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build-tsan -G Ninja -DPIM_SANITIZE=thread >/dev/null
-cmake --build build-tsan --target test_exec test_faults test_cache test_deadline test_serve test_spice test_charlib >/dev/null
+cmake --build build-tsan --target test_exec test_faults test_cache test_deadline test_serve test_spice test_charlib test_wire >/dev/null
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
-for t in test_exec test_faults test_cache test_deadline test_serve test_spice test_charlib; do
+for t in test_exec test_faults test_cache test_deadline test_serve test_spice test_charlib test_wire; do
   echo "=== tsan: $t ==="
   ./build-tsan/tests/"$t"
 done

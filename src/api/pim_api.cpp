@@ -3,14 +3,17 @@
 #include <cmath>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
+#include <set>
 
 #include "buffering/optimize.hpp"
 #include "cache/invalidate.hpp"
+#include "cache/resident.hpp"
 #include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
 #include "cosi/mesh.hpp"
 #include "deadline/deadline.hpp"
+#include "exec/engine.hpp"
 #include "obs/metrics.hpp"
 #include "cosi/specfile.hpp"
 #include "cosi/synthesis.hpp"
@@ -29,7 +32,6 @@
 #include "sta/spef.hpp"
 #include "tech/techfile.hpp"
 #include "util/error.hpp"
-#include "util/faultinject.hpp"
 #include "util/units.hpp"
 #include "variation/variation.hpp"
 
@@ -45,6 +47,10 @@ void check_version(int version, const char* who) {
           ErrorCode::bad_input);
 }
 
+// True on a thread while it runs an item of run_batch: the batch is the
+// item's metrics scope.
+thread_local bool t_batch_item = false;
+
 // Uniform exception boundary: the facade never throws — every failure
 // comes back as an Expected error carrying the ErrorCode taxonomy.
 //
@@ -52,18 +58,20 @@ void check_version(int version, const char* who) {
 // entry so a long-lived process making successive facade calls (a
 // daemon, a notebook) gets per-request counters/timers in its ledger and
 // profile snapshots instead of an accumulation over all prior requests.
-// The trace buffer is left alone — span capture belongs to whoever
-// enabled tracing (the CLI's span around the whole command must survive
-// the call).
+// A batch is one scope: run_batch resets once, and its items, which run
+// concurrently, add into it instead of resetting. The trace buffer is
+// left alone — span capture belongs to whoever enabled tracing (the
+// CLI's span around the whole command must survive the call).
 //
-// And a deadline scope: the request's deadline_ms budget is armed for
-// exactly the duration of the body (nested scopes keep the tighter
-// deadline); on exit the deadline.remaining_ns gauge is force-set so the
-// ledger records how much budget a truncated run had left.
+// And a deadline scope: the request's deadline_ms budget is armed on the
+// calling thread for exactly the duration of the body (nested scopes
+// keep the tighter deadline); on exit the deadline.remaining_ns gauge is
+// force-set so the ledger records how much budget a truncated run had
+// left.
 template <typename R, typename F>
 Expected<R> guarded(const char* who, int64_t deadline_ms, F&& body) {
   try {
-    obs::registry().reset();
+    if (!t_batch_item) obs::registry().reset();
     deadline::Scope budget(deadline_ms);
     return body();
   } catch (const Error& e) {
@@ -140,80 +148,41 @@ TechnologyFit fit_of(const Technology& base, const Corner& corner,
 // one immutable instance. Keyed by the fit's content-cache key: two
 // requests share a model exactly when they would resolve the same fit
 // (tech content at corner + corner id + deck knobs). The memo follows
-// the resident fits' bypass rule (cache off / fault harness armed), and
-// the Technology reference the model binds is registry-stable for the
-// process lifetime (tech/technology.cpp), so a shared model never
+// the resident fits' bypass and single-flight rules (cache/resident.hpp),
+// and the Technology reference the model binds is registry-stable for
+// the process lifetime (tech/technology.cpp), so a shared model never
 // dangles.
-std::mutex& model_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<std::string, std::shared_ptr<const ProposedModel>>& model_memo() {
-  static std::map<std::string, std::shared_ptr<const ProposedModel>> m;
-  return m;
-}
-
 std::shared_ptr<const ProposedModel> resident_model_of(const Technology& base,
                                                        const Corner& corner,
                                                        const std::string& coeffs_path) {
+  static cache::ResidentMemo<std::shared_ptr<const ProposedModel>> memo;
   obs::TraceSpan span("api.calibrate");
   // Resolved first even on a memo hit: this publishes the fit key into
   // the enclosing provenance scope, so downstream cached wrappers
   // (buffering, Monte-Carlo) keep their upstream fit edge whichever tier
   // served the model.
   const ResidentFit rf = resident_corner_fit(base, corner, coeffs_path);
-  const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(model_mutex());
-    const auto it = model_memo().find(rf.key_hex);
-    if (it != model_memo().end()) {
-      PIM_COUNT("model.resident.hit");
-      return it->second;
-    }
-  }
-  auto model = std::make_shared<const ProposedModel>(corner_technology(base, corner),
+  return memo.get(
+      rf.key_hex,
+      [&] {
+        return std::make_shared<const ProposedModel>(corner_technology(base, corner),
                                                      *rf.fit);
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(model_mutex());
-    model_memo()[rf.key_hex] = model;
-  }
-  return model;
+      },
+      [](const auto&) { PIM_COUNT("model.resident.hit"); });
 }
 
 // Resident noise calibrations, keyed like the resident models by the
 // fit's content-cache key. calibrate_noise is a pure function of the
 // (corner-derated) tech and the fit, and the key pins both, so a memo hit
 // returns exactly what re-running the six calibration decks would. Same
-// bypass rule as the model memo. A calibration stopped by a deadline or
-// cancel throws out of calibrate_noise, so only completed ones are stored.
-std::mutex& noise_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<std::string, NoiseCalibration>& noise_memo() {
-  static std::map<std::string, NoiseCalibration> m;
-  return m;
-}
-
+// rules as the model memo; a calibration stopped by a deadline or cancel
+// throws out of calibrate_noise, so only completed ones are stored.
 NoiseCalibration resident_noise_calibration(const Technology& tech,
                                             const ResidentFit& rf) {
-  const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(noise_mutex());
-    const auto it = noise_memo().find(rf.key_hex);
-    if (it != noise_memo().end()) {
-      PIM_COUNT("noise.resident.hit");
-      return it->second;
-    }
-  }
-  const NoiseCalibration cal = calibrate_noise(tech, *rf.fit);
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(noise_mutex());
-    noise_memo()[rf.key_hex] = cal;
-  }
-  return cal;
+  static cache::ResidentMemo<NoiseCalibration> memo;
+  return memo.get(
+      rf.key_hex, [&] { return calibrate_noise(tech, *rf.fit); },
+      [](const auto&) { PIM_COUNT("noise.resident.hit"); });
 }
 
 SocSpec spec_of(const std::string& which, const char* who) {
@@ -642,38 +611,93 @@ Expected<AnyResult> run_any(const AnyRequest& request) {
       request);
 }
 
+namespace {
+
+// The fit a request resolves from its link before its own work.
+struct FitRef {
+  std::string tech, corner, coeffs_path;
+  auto operator<=>(const FitRef&) const = default;
+};
+
+std::optional<FitRef> fit_ref_of(const AnyRequest& request) {
+  return std::visit(
+      [](const auto& r) -> std::optional<FitRef> {
+        using T = std::decay_t<decltype(r)>;
+        if constexpr (std::is_same_v<T, LinkEvalRequest> ||
+                      std::is_same_v<T, BufferRequest> ||
+                      std::is_same_v<T, YieldRequest> || std::is_same_v<T, NoiseRequest>)
+          return FitRef{r.link.tech, r.link.corner, r.link.coeffs_path};
+        else
+          return std::nullopt;
+      },
+      request);
+}
+
+// Resolves each distinct fit the batch's link items name, once, on the
+// calling thread, before the items fan out. Items run nested regions
+// inline, so a cold fit resolved by the first item would characterize on
+// one thread while the others wait for it; resolved here, it fans out
+// over every thread and the items only take resident hits. Skipped while
+// the resident tier is bypassed (the items could not share the result).
+// Failures are ignored: each item re-resolves and reports its own error.
+void resolve_shared_fits(const BatchRequest& batch) {
+  if (!cache::resident_enabled()) return;
+  std::set<FitRef> refs;
+  for (const AnyRequest& item : batch.items)
+    if (std::optional<FitRef> ref = fit_ref_of(item); ref && !ref->tech.empty())
+      refs.insert(*std::move(ref));
+  for (const FitRef& ref : refs) {
+    try {
+      const Technology& base = technology_from_spec(ref.tech);
+      (void)resident_corner_fit(base, corner_of(base, ref.corner), ref.coeffs_path);
+    } catch (const std::exception&) {
+    }
+  }
+}
+
+}  // namespace
+
 Expected<BatchResult> run_batch(const BatchRequest& request) {
   return guarded<BatchResult>("run_batch", request.deadline_ms, [&] {
     check_version(request.api_version, "run_batch");
-    BatchResult result;
+    resolve_shared_fits(request);
     const size_t n = request.items.size();
+    // The items run concurrently, one per thread slot, each running its
+    // own nested regions (sign-off launches, noise decks) inline. A
+    // deadline/cancel stop is the region's prefix cutoff: every item
+    // below it returns its own result (the item executing when the stop
+    // landed degrades by its own flow's partial semantics, like a direct
+    // call), and every item at or past it is answered with the typed stop
+    // error, so a stopped batch still returns exactly n order-aligned
+    // entries in bounded time.
+    exec::BatchResult<Expected<AnyResult>> out =
+        exec::parallel_try_map<Expected<AnyResult>>(n, [&](size_t i) {
+          struct ItemScope {
+            ItemScope() { t_batch_item = true; }
+            ~ItemScope() { t_batch_item = false; }
+          } scope;
+          return run_any(request.items[i]);
+        });
+    BatchResult result;
     result.items.reserve(n);
     for (size_t i = 0; i < n; ++i) {
-      // Shared-budget poll between items: once the batch budget expires
-      // (or a cancel lands), every not-yet-started item is answered with
-      // the typed stop error without doing work, so a stopped batch
-      // still returns exactly n order-aligned entries in bounded time.
-      // The item being executed when the stop lands degrades by its own
-      // flow's partial semantics, like a direct call would.
-      const deadline::StopReason stop = deadline::check();
-      if (stop != deadline::StopReason::none) {
+      if (i >= out.completed) {
         result.partial = true;
-        for (size_t j = i; j < n; ++j) {
-          result.items.emplace_back(
-              deadline::stop_error(stop, j, n)
-                  .with_context("batch item " + std::to_string(j) + " never started"));
-          ++result.failed;
-        }
-        break;
-      }
-      result.items.push_back(run_any(request.items[i]));
-      const Expected<AnyResult>& out = result.items.back();
-      if (!out.ok()) {
+        result.items.emplace_back(
+            deadline::stop_error(out.stop, i, n)
+                .with_context("batch item " + std::to_string(i) + " never started"));
         ++result.failed;
-        const ErrorCode code = out.error().code();
+        continue;
+      }
+      // run_any never throws, so every item below the cutoff has a value.
+      result.items.push_back(std::move(out.values[i]).value());
+      const Expected<AnyResult>& item = result.items.back();
+      if (!item.ok()) {
+        ++result.failed;
+        const ErrorCode code = item.error().code();
         if (code == ErrorCode::deadline_exceeded || code == ErrorCode::cancelled)
           result.partial = true;
-      } else if (is_partial(out.value())) {
+      } else if (is_partial(item.value())) {
         ++result.partial_items;
         result.partial = true;
       }

@@ -18,50 +18,20 @@ int64_t steady_now_ns() {
       .count();
 }
 
-// Absolute steady-clock deadline in ns; 0 = no deadline armed.
-std::atomic<int64_t>& deadline_ns_slot() {
-  static std::atomic<int64_t> ns{0};
-  return ns;
-}
+// The calling thread's armed deadline and grace depth. Thread-local, so
+// concurrent requests each arm their own budget; a parallel region hands
+// the entering thread's state to its slots through Inherit.
+thread_local Inherited t_state;
 
+// Process-wide: one SIGINT/SIGTERM stops every thread's work.
 std::atomic<bool>& cancel_slot() {
   static std::atomic<bool> flag{false};
   return flag;
 }
 
-// Single fast-path flag: true iff a deadline is armed or a cancel is
-// pending. Maintained on every state change so check()'s disengaged path
-// is one relaxed load (plus the fault-armed load).
-std::atomic<bool>& engaged_slot() {
-  static std::atomic<bool> flag{false};
-  return flag;
-}
-
-// Process-wide (not thread-local): grace must also cover pool workers
-// running parallel regions inside the graced finalization work.
-std::atomic<int>& grace_depth() {
-  static std::atomic<int> depth{0};
-  return depth;
-}
-
-void refresh_engaged() {
-  engaged_slot().store(
-      deadline_ns_slot().load(std::memory_order_relaxed) != 0 ||
-          cancel_slot().load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-}
-
-void set_deadline_abs_ns(int64_t abs_ns) {
-  deadline_ns_slot().store(abs_ns, std::memory_order_relaxed);
-  refresh_engaged();
-}
-
 extern "C" void pim_deadline_signal_handler(int) {
-  // Async-signal-safe: two lock-free atomic stores, nothing else. The
-  // engaged flag must be set directly (refresh_engaged reads two slots,
-  // which is also safe, but keep the handler minimal).
+  // Async-signal-safe: one lock-free atomic store, nothing else.
   cancel_slot().store(true, std::memory_order_relaxed);
-  engaged_slot().store(true, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -81,41 +51,33 @@ ErrorCode error_code_for(StopReason reason) {
 }
 
 void set_budget_ms(int64_t budget_ms) {
-  if (budget_ms <= 0) {
-    set_deadline_abs_ns(0);
-    return;
-  }
-  set_deadline_abs_ns(steady_now_ns() + budget_ms * 1'000'000);
+  t_state.deadline_ns = budget_ms <= 0 ? 0 : steady_now_ns() + budget_ms * 1'000'000;
 }
 
 void reset() {
-  deadline_ns_slot().store(0, std::memory_order_relaxed);
+  t_state.deadline_ns = 0;
   cancel_slot().store(false, std::memory_order_relaxed);
-  engaged_slot().store(false, std::memory_order_relaxed);
 }
 
-void request_cancel() {
-  cancel_slot().store(true, std::memory_order_relaxed);
-  engaged_slot().store(true, std::memory_order_relaxed);
-}
+void request_cancel() { cancel_slot().store(true, std::memory_order_relaxed); }
 
 bool cancel_requested() { return cancel_slot().load(std::memory_order_relaxed); }
 
 int64_t remaining_ns() {
-  const int64_t deadline = deadline_ns_slot().load(std::memory_order_relaxed);
+  const int64_t deadline = t_state.deadline_ns;
   if (deadline == 0) return INT64_MAX;
   const int64_t left = deadline - steady_now_ns();
   return left > 0 ? left : 0;
 }
 
-bool engaged() { return engaged_slot().load(std::memory_order_relaxed); }
+bool engaged() { return t_state.deadline_ns != 0 || cancel_requested(); }
 
 StopReason check() {
-  // Fast path: nothing armed anywhere — one relaxed load each for the
-  // deadline/cancel state and the fault harness.
+  // Fast path: nothing armed — the thread's deadline, one relaxed load
+  // of the cancel flag, one of the fault harness; no clock read.
   const bool live = engaged();
   if (!live && !fault::armed()) return StopReason::none;
-  if (grace_depth().load(std::memory_order_relaxed) > 0) return StopReason::none;
+  if (t_state.grace_depth > 0) return StopReason::none;
 
   // Fault sites first so injected stops are index-pure under the exec
   // engine's per-item streams (the wall clock would otherwise race them).
@@ -124,8 +86,8 @@ StopReason check() {
   if (!live) return StopReason::none;
 
   PIM_COUNT("cancel.checks");
-  if (cancel_slot().load(std::memory_order_relaxed)) return StopReason::cancelled;
-  const int64_t deadline = deadline_ns_slot().load(std::memory_order_relaxed);
+  if (cancel_requested()) return StopReason::cancelled;
+  const int64_t deadline = t_state.deadline_ns;
   if (deadline != 0 && steady_now_ns() >= deadline)
     return StopReason::deadline_exceeded;
   return StopReason::none;
@@ -158,16 +120,19 @@ void record_stop_metrics(size_t partial_items) {
   obs::registry().gauge("partial.items").force_set(static_cast<double>(partial_items));
 }
 
-GraceScope::GraceScope() { grace_depth().fetch_add(1, std::memory_order_relaxed); }
-GraceScope::~GraceScope() { grace_depth().fetch_sub(1, std::memory_order_relaxed); }
+Inherited inherited() { return t_state; }
 
-Scope::Scope(int64_t budget_ms)
-    : prev_deadline_ns_(deadline_ns_slot().load(std::memory_order_relaxed)) {
+Inherit::Inherit(const Inherited& state) : prev_(t_state) { t_state = state; }
+Inherit::~Inherit() { t_state = prev_; }
+
+GraceScope::GraceScope() { ++t_state.grace_depth; }
+GraceScope::~GraceScope() { --t_state.grace_depth; }
+
+Scope::Scope(int64_t budget_ms) : prev_deadline_ns_(t_state.deadline_ns) {
   if (budget_ms > 0) {
     const int64_t mine = steady_now_ns() + budget_ms * 1'000'000;
     // Never loosen an outer deadline: nested scopes keep the tighter one.
-    if (prev_deadline_ns_ == 0 || mine < prev_deadline_ns_)
-      set_deadline_abs_ns(mine);
+    if (prev_deadline_ns_ == 0 || mine < prev_deadline_ns_) t_state.deadline_ns = mine;
   }
 }
 
@@ -175,7 +140,7 @@ Scope::~Scope() {
   const int64_t left = remaining_ns();
   obs::registry().gauge("deadline.remaining_ns")
       .force_set(left == INT64_MAX ? 0.0 : static_cast<double>(left));
-  set_deadline_abs_ns(prev_deadline_ns_);
+  t_state.deadline_ns = prev_deadline_ns_;
 }
 
 }  // namespace pim::deadline

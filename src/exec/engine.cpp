@@ -54,12 +54,28 @@ class ThreadPool {
     while (workers_.size() < n) workers_.emplace_back([this] { worker_loop(); });
   }
 
-  void submit(std::function<void()> task) {
+  void submit(const void* owner, size_t slot, std::function<void()> run) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(task));
+      queue_.push_back(Task{owner, slot, std::move(run)});
     }
     cv_.notify_one();
+  }
+
+  // Removes the tasks of `owner` that no worker has started yet and
+  // returns their slot numbers. A region's join then waits only for
+  // slots already running: a worker blocked elsewhere (say, waiting on a
+  // resident memo another thread is filling through this very region)
+  // can never hold the region up.
+  std::vector<size_t> take_back(const void* owner) {
+    std::vector<size_t> slots;
+    std::lock_guard<std::mutex> lock(mu_);
+    std::erase_if(queue_, [&](const Task& t) {
+      if (t.owner != owner) return false;
+      slots.push_back(t.slot);
+      return true;
+    });
+    return slots;
   }
 
   ~ThreadPool() {
@@ -72,6 +88,12 @@ class ThreadPool {
   }
 
  private:
+  struct Task {
+    const void* owner;  // the submitting region
+    size_t slot;
+    std::function<void()> run;
+  };
+
   void worker_loop() {
     for (;;) {
       std::function<void()> task;
@@ -79,7 +101,7 @@ class ThreadPool {
         std::unique_lock<std::mutex> lock(mu_);
         cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
         if (queue_.empty()) return;  // stop requested and drained
-        task = std::move(queue_.front());
+        task = std::move(queue_.front().run);
         queue_.pop_front();
       }
       task();
@@ -88,7 +110,7 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::function<void()>> queue_;
+  std::deque<Task> queue_;
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };
@@ -107,12 +129,21 @@ bool& in_region() {
 // itself been claimed — and a slot polls every item of its block unless
 // it stopped at a lower one.
 struct Claims {
-  Claims(size_t n, size_t grain) : n(n), grain(grain) {}
+  Claims(size_t n, size_t grain, bool fanned_out)
+      : n(n), grain(grain), fanned_out(fanned_out) {}
   const size_t n;
   const size_t grain;
+  // True when the region runs on more than one slot: its items then run
+  // nested regions inline. A one-slot region on a top-level thread leaves
+  // them free to fan out — a one-item batch keeps the parallelism of a
+  // direct call.
+  const bool fanned_out;
   // Fault-stream ids, resolved on the thread entering the region so a
   // nested region's items derive from the enclosing item's stream.
   const fault::StreamFork streams;
+  // The entering thread's deadline and grace, installed on every slot so
+  // the region polls the budget of the request that entered it.
+  const deadline::Inherited deadline = deadline::inherited();
   std::atomic<size_t> next{0};
   // Set by the first slot that stops (deadline/cancel stop, or a
   // fail-fast failure): the others stop claiming. Indices below the
@@ -139,8 +170,9 @@ void run_slot(Claims& claims, bool fail_fast, const std::function<void(size_t)>&
               SlotResult& result) {
   obs::MetricShard shard;
   obs::ShardScope scope(shard);
+  const deadline::Inherit inherit(claims.deadline);
   const bool was_inside = in_region();
-  in_region() = true;
+  in_region() = was_inside || claims.fanned_out;
   // The block is finished even after another slot halts the region: an
   // item below that slot's stop may sit in it, and must still be polled
   // for the cutoff and the lowest failure to stay thread-count-invariant.
@@ -234,6 +266,16 @@ int64_t run_slot_instr(Claims& claims, bool fail_fast,
   return dur;
 }
 
+// The metrics of a slot taken back from the pool queue before any worker
+// started it: its queue wait, and a chunk that claimed no items.
+void record_empty_slot(int64_t queued_ns) {
+  if (queued_ns < 0 || !obs::enabled()) return;
+  ExecMetrics& m = ExecMetrics::get();
+  m.queue_wait.record_ns(obs::now_ns() - queued_ns);
+  m.chunk_run.record_ns(0);
+  m.chunk_items.record_ns(0);
+}
+
 }  // namespace
 
 int hardware_threads() {
@@ -292,8 +334,9 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
 
   // Serial (or nested) regions run the identical claim loop on this
   // thread, so results are bit-identical to any parallel schedule.
-  Claims claims(n, grain);
-  if (want == 1 || in_region()) {
+  const bool serial = want == 1 || in_region();
+  Claims claims(n, grain, !serial);
+  if (serial) {
     std::vector<SlotResult> results(1);
     run_slot_instr(claims, fail_fast, body, results[0], /*queued_ns=*/-1);
     return reduce_slots(n, results);
@@ -315,10 +358,11 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
 
   ThreadPool& pool = ThreadPool::instance();
   pool.ensure_workers(want - 1);
+  std::vector<int64_t> submit_ns(want, -1);
   for (size_t c = 1; c < want; ++c) {
-    const int64_t submit_ns = timing ? obs::now_ns() : -1;
-    pool.submit([&, c, submit_ns] {
-      slot_dur[c] = run_slot_instr(claims, fail_fast, body, results[c], submit_ns);
+    submit_ns[c] = timing ? obs::now_ns() : -1;
+    pool.submit(&claims, c, [&, c] {
+      slot_dur[c] = run_slot_instr(claims, fail_fast, body, results[c], submit_ns[c]);
       // Notify under the lock: the caller destroys `join` as soon as it
       // observes remaining == 0, which it can only do after we release
       // the mutex — so the condition variable outlives this call.
@@ -329,10 +373,16 @@ RegionOutcome run_region(size_t n, const ParallelOptions& options,
       }
     });
   }
-  // The calling thread runs slot 0, then joins.
+  // The calling thread runs slot 0, then joins. Slot 0 returns only once
+  // the claims are exhausted or halted, so a slot still queued now would
+  // find nothing to claim: take it back instead of waiting for a worker,
+  // and record it as the empty slot it would have been.
   slot_dur[0] = run_slot_instr(claims, fail_fast, body, results[0], /*queued_ns=*/-1);
+  const std::vector<size_t> unstarted = pool.take_back(&claims);
+  for (size_t c : unstarted) record_empty_slot(submit_ns[c]);
   {
     std::unique_lock<std::mutex> lock(join.mu);
+    join.remaining -= unstarted.size();
     join.cv.wait(lock, [&] { return join.remaining == 0; });
   }
 

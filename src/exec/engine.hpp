@@ -53,10 +53,20 @@
 // raised without the stop too); parallel_try_map returns the truncated
 // BatchResult with stop/completed set so callers can degrade gracefully.
 //
+// Deadlines travel with the work: a region captures the entering
+// thread's deadline and grace (deadline::inherited()) and installs them
+// on every thread slot for the slot's duration, as it does the fault
+// stream. A request's budget therefore covers everything it fans out,
+// and concurrent requests on other threads keep their own.
+//
 // Thread count: threads() resolves set_threads() > PIM_THREADS >
 // std::thread::hardware_concurrency, and the CLI's global --threads flag
-// feeds set_threads(). Nested parallel regions run inline on the calling
-// worker (no pool re-entry), so composed code cannot deadlock the queue.
+// feeds set_threads(). A region nested in an item of a multi-slot region
+// runs inline on that slot's thread (no pool re-entry), so composed code
+// cannot deadlock the queue; a region that runs on one slot from a
+// top-level thread leaves its items' nested regions free to fan out. A
+// region's join waits only for slots a worker has started: slots still
+// queued when the caller's slot finishes are taken back unrun.
 #pragma once
 
 #include <cstdint>

@@ -13,7 +13,6 @@
 #include <deque>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -137,10 +136,6 @@ struct Server::Impl {
   mutable std::mutex queue_mu;
   std::condition_variable queue_cv;
   std::deque<Job> queue;
-
-  // Deadline isolation (see api/wire.hpp execute_line): requests that
-  // arm a budget take this exclusively; deadline-free requests share.
-  std::shared_mutex deadline_mu;
 
   // Daemon-owned stats. Standalone metric instances, NOT registry
   // entries: every pim::api call resets the global registry on entry,
@@ -323,11 +318,12 @@ void Server::Impl::handle_line(const std::shared_ptr<Connection>& conn,
 // After each dispatch, fold the request's registry counters into the
 // daemon aggregates. pim::api resets the registry on entry, so at
 // --workers 1 the post-call registry holds exactly this request's
-// counts; with concurrent workers the attribution is approximate (the
-// totals remain a faithful sample, and check_serve.sh pins workers=1
-// where it asserts exact hit counts). For a batch, the registry holds
-// the last item only — a documented stats approximation, not a
-// correctness concern.
+// counts — for a batch, the sum over its items plus the fits it
+// resolves before fanning them out. With concurrent workers the
+// attribution is approximate (the registry is process-wide, so one
+// worker's reset can drop another's counts; the totals remain a
+// faithful sample, and check_serve.sh pins workers=1 where it asserts
+// exact hit counts).
 void Server::Impl::sample_request_counters() {
   obs::MetricsRegistry& reg = obs::registry();
   store_hits.fetch_add(reg.counter("cache.hit").value());
@@ -350,16 +346,7 @@ void Server::Impl::worker_loop() {
       queue.pop_front();
     }
     const Clock::time_point t0 = Clock::now();
-    const std::string response = api::wire::execute_line(
-        job.line, [&](bool uses_deadline, const std::function<void()>& dispatch) {
-          if (uses_deadline) {
-            std::unique_lock<std::shared_mutex> guard(deadline_mu);
-            dispatch();
-          } else {
-            std::shared_lock<std::shared_mutex> guard(deadline_mu);
-            dispatch();
-          }
-        });
+    const std::string response = api::wire::execute_line(job.line);
     latency.record_ns(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - t0)
             .count());

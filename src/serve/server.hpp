@@ -15,12 +15,11 @@
 //    typed `overloaded` error (exit_code 3) — retryable by contract,
 //    since the work never started. Rejections keep per-connection
 //    response order like any other response.
-//  - Deadlines: a request carrying deadline_ms > 0 runs exclusively
-//    (the ambient deadline scope is process-wide, so concurrent workers
-//    arming different budgets would truncate each other); deadline-free
-//    requests run concurrently under a shared lock. Flows degrade to
-//    partial results or typed deadline errors exactly as direct
-//    pim::api calls do.
+//  - Deadlines: a request's deadline_ms budget is armed on the worker
+//    thread serving it (deadlines are thread-scoped, src/deadline), so
+//    requests with and without budgets run concurrently and never
+//    truncate each other. Flows degrade to partial results or typed
+//    deadline errors exactly as direct pim::api calls do.
 //  - Heavy flows parallelize internally through pim::exec, so a worker
 //    here is a dispatcher, not the unit of compute parallelism.
 //  - Graceful drain: once stop() is called (pimd calls it when

@@ -1,10 +1,9 @@
 #include "sta/calibrated.hpp"
 
 #include <fstream>
-#include <map>
-#include <mutex>
 
 #include "cache/manifest.hpp"
+#include "cache/resident.hpp"
 #include "cache/sha256.hpp"
 #include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
@@ -12,7 +11,6 @@
 #include "obs/metrics.hpp"
 #include "tech/techfile.hpp"
 #include "util/error.hpp"
-#include "util/faultinject.hpp"
 #include "util/log.hpp"
 
 namespace pim {
@@ -162,14 +160,9 @@ struct ResidentEntry {
   std::string coeff_hash;
 };
 
-std::mutex& resident_mutex() {
-  static std::mutex m;
-  return m;
-}
-
-std::map<std::string, ResidentEntry>& resident_memo() {
-  static std::map<std::string, ResidentEntry> m;
-  return m;
+cache::ResidentMemo<ResidentEntry>& resident_fits() {
+  static cache::ResidentMemo<ResidentEntry> memo;
+  return memo;
 }
 
 }  // namespace
@@ -179,49 +172,36 @@ ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
                                 const CharacterizationOptions& characterization,
                                 const CompositionOptions& composition) {
   const Technology& tech = corner_technology(base, corner);
-  // Mirror the store's bypass semantics: with the cache off or the fault
-  // harness armed, injected faults and cache-off runs must exercise the
-  // real compute path instead of yesterday's resident copy.
-  const bool memo_enabled = cache::mode() != cache::Mode::Off && !fault::armed();
-  std::string key_hex;
+  cache::CacheKey key;
   {
     // A local provenance scope absorbs the facets fit_cache_key records,
     // exactly like the store path's scope — the caller's manifest must
     // see the fit as one upstream key, never its raw facets.
     const cache::Tracked scope;
-    const cache::CacheKey key =
-        fit_cache_key(tech, corner, characterization, composition);
-    key_hex = key.hex;
-    if (memo_enabled) {
-      std::lock_guard<std::mutex> lock(resident_mutex());
-      const auto it = resident_memo().find(key.hex);
-      if (it != resident_memo().end()) {
+    key = fit_cache_key(tech, corner, characterization, composition);
+  }
+  const ResidentEntry entry = resident_fits().get(
+      key.hex,
+      [&] {
+        auto fit = std::make_shared<const TechnologyFit>(corner_calibrated_fit_impl(
+            tech, corner, cache_path, characterization, composition));
+        std::string coeff_hash = cache::sha256_hex(write_fit(*fit));
+        return ResidentEntry{std::move(fit), std::move(coeff_hash)};
+      },
+      [&](const ResidentEntry& hit) {
         // Same observable side effects as a store hit (minus the store
         // I/O): the corner hit counter, the artifact registration, and
         // the provenance edge into the enclosing scope.
         count_corner(corner, "hit");
         PIM_COUNT("fit.resident.hit");
-        cache::register_artifact(it->second.coeff_hash, key);
-        scope.publish(key);
-        return {it->second.fit, key.hex, it->second.coeff_hash};
-      }
-    }
-  }
-  auto fit = std::make_shared<const TechnologyFit>(
-      corner_calibrated_fit_impl(tech, corner, cache_path, characterization,
-                                 composition));
-  const std::string coeff_hash = cache::sha256_hex(write_fit(*fit));
-  if (memo_enabled) {
-    std::lock_guard<std::mutex> lock(resident_mutex());
-    resident_memo()[key_hex] = {fit, coeff_hash};
-  }
-  return {std::move(fit), key_hex, coeff_hash};
+        cache::register_artifact(hit.coeff_hash, key);
+        if (cache::Tracked* enclosing = cache::Tracked::current())
+          enclosing->upstream(key);
+      });
+  return {entry.fit, key.hex, entry.coeff_hash};
 }
 
-void clear_resident_fits() {
-  std::lock_guard<std::mutex> lock(resident_mutex());
-  resident_memo().clear();
-}
+void clear_resident_fits() { resident_fits().clear(); }
 
 TechnologyFit calibrated_fit(TechNode node, const std::string& cache_path,
                              const CharacterizationOptions& characterization,

@@ -59,10 +59,13 @@ struct ResidentFit {
 /// hash is registered as the fit artifact, and the fit key is published
 /// to the enclosing provenance scope — so downstream manifests are
 /// identical whichever tier served the fit. A memo hit additionally
-/// counts fit.resident.hit. The memo is bypassed entirely (reads and
-/// inserts) while cache mode is `off` or the fault harness is armed,
-/// mirroring the store's own bypass semantics. This is the hot path a
-/// long-running server (pimd) evaluates millions of links through.
+/// counts fit.resident.hit. Concurrent misses on one fit compute it once
+/// (the other callers wait, then count a hit), and a fit whose compute
+/// fails or is stopped is not stored. The memo is bypassed entirely
+/// (reads and inserts) while cache mode is `off` or the fault harness is
+/// armed, mirroring the store's own bypass semantics (cache/resident.hpp).
+/// This is the hot path a long-running server (pimd) evaluates millions
+/// of links through.
 ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
                                 const std::string& cache_path = "",
                                 const CharacterizationOptions& characterization = {},

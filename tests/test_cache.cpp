@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/pim_api.hpp"
@@ -18,6 +20,7 @@
 #include "cache/invalidate.hpp"
 #include "cache/key.hpp"
 #include "cache/manifest.hpp"
+#include "cache/resident.hpp"
 #include "cache/sha256.hpp"
 #include "cache/store.hpp"
 #include "charlib/coeffs_io.hpp"
@@ -170,6 +173,104 @@ TEST_F(CacheDirFixture, MemoryAndDiskRoundTrip) {
   EXPECT_EQ(*disk_hit, "payload-bytes");
   // The disk hit repopulates the memory tier.
   EXPECT_EQ(store.memory_entries(), 1u);
+}
+
+// ------------------------------------------------------ resident memos
+
+TEST_F(CacheDirFixture, ResidentMemoComputesConcurrentMissesOnce) {
+  ResidentMemo<int> memo;
+  std::atomic<int> computes{0}, hits{0};
+  std::vector<int> got(8, 0);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < got.size(); ++t)
+    callers.emplace_back([&, t] {
+      got[t] = memo.get(
+          "k",
+          [&] {
+            computes.fetch_add(1);
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+            return 42;
+          },
+          [&](int) { hits.fetch_add(1); });
+    });
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(computes.load(), 1);
+  EXPECT_EQ(hits.load(), 7) << "every waiter counts a hit";
+  for (int v : got) EXPECT_EQ(v, 42);
+}
+
+TEST_F(CacheDirFixture, ResidentMemoStoresNothingFromAFailedCompute) {
+  ResidentMemo<int> memo;
+  std::atomic<bool> leading{false};
+  std::thread leader([&] {
+    EXPECT_THROW(memo.get(
+                     "k",
+                     [&]() -> int {
+                       leading.store(true);
+                       std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                       fail("stopped", ErrorCode::deadline_exceeded);
+                     },
+                     [](int) { ADD_FAILURE() << "nothing to hit"; }),
+                 Error);
+  });
+  while (!leading.load()) std::this_thread::yield();
+  // Arrives while the leader is in flight; once it fails, computes itself.
+  int computes = 0;
+  EXPECT_EQ(memo.get("k", [&] { return ++computes, 7; }, [](int) {}), 7);
+  leader.join();
+  EXPECT_EQ(computes, 1);
+  int hits = 0;
+  EXPECT_EQ(memo.get("k", [] { return 0; }, [&](int) { ++hits; }), 7);
+  EXPECT_EQ(hits, 1);
+}
+
+TEST_F(CacheDirFixture, ResidentMemoLeaderNeverWaitsOnBlockedPoolWorkers) {
+  // Every pool worker runs an item of one region and waits on a key that
+  // a top-level thread is computing through a region of its own. That
+  // region's queued slot can never start; its join must not wait for it.
+  constexpr size_t kWaiters = 64;
+  ResidentMemo<int> memo;
+  std::atomic<bool> leading{false};
+  std::atomic<size_t> entered{0};
+  std::thread leader([&] {
+    const int v = memo.get(
+        "k",
+        [&] {
+          leading.store(true);
+          while (entered.load() < kWaiters) std::this_thread::yield();
+          std::atomic<int> ran{0};
+          exec::parallel_for(2, [&](size_t) { ran.fetch_add(1); }, {.threads = 2});
+          return ran.load();
+        },
+        [](int) { ADD_FAILURE() << "the leader computes"; });
+    EXPECT_EQ(v, 2);
+  });
+  while (!leading.load()) std::this_thread::yield();
+  std::atomic<int> hits{0};
+  exec::parallel_for(
+      kWaiters,
+      [&](size_t) {
+        entered.fetch_add(1);
+        EXPECT_EQ(memo.get("k", [] { return -1; }, [&](int) { hits.fetch_add(1); }), 2);
+      },
+      {.threads = static_cast<int>(kWaiters)});
+  leader.join();
+  EXPECT_EQ(hits.load(), static_cast<int>(kWaiters));
+}
+
+TEST_F(CacheDirFixture, ResidentMemoIsBypassedWithTheCacheOffOrFaultsArmed) {
+  ResidentMemo<int> memo;
+  int computes = 0;
+  const auto get = [&] { return memo.get("k", [&] { return ++computes; }, [](int) {}); };
+  set_mode(Mode::Off);
+  EXPECT_EQ(get(), 1);
+  EXPECT_EQ(get(), 2);
+  set_mode(Mode::ReadWrite);
+  fault::configure("io.open:0");  // armed, never fires
+  EXPECT_EQ(get(), 3);
+  fault::clear();
+  EXPECT_EQ(get(), 4) << "nothing was stored while bypassed";
+  EXPECT_EQ(get(), 4);
 }
 
 TEST_F(CacheDirFixture, EncodeDecodeEntry) {

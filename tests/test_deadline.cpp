@@ -15,9 +15,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/pim_api.hpp"
@@ -159,6 +162,62 @@ TEST_F(DeadlineFixture, CancelChecksAreCountedWhenEngaged) {
   // Disengaged fast path: no counter traffic at all.
   for (int i = 0; i < 5; ++i) (void)deadline::check();
   EXPECT_EQ(obs::registry().counter("cancel.checks").value(), 5);
+}
+
+TEST_F(DeadlineFixture, BudgetsAreThreadScoped) {
+  deadline::set_budget_ms(1);
+  ::usleep(3000);
+  EXPECT_EQ(deadline::check(), deadline::StopReason::deadline_exceeded);
+  std::thread other([] {
+    // Another request's thread: no budget of its own, so nothing stops it.
+    EXPECT_FALSE(deadline::engaged());
+    EXPECT_EQ(deadline::check(), deadline::StopReason::none);
+  });
+  other.join();
+  // The cancel flag alone is process-wide.
+  deadline::reset();
+  deadline::request_cancel();
+  std::thread cancelled([] { EXPECT_EQ(deadline::check(), deadline::StopReason::cancelled); });
+  cancelled.join();
+}
+
+TEST_F(DeadlineFixture, RegionSlotsInheritTheEnteringThreadsDeadlineAndGrace) {
+  // Items last long enough that pool workers run some of them.
+  const size_t n = 64;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> off_caller{0};
+  const auto item = [&](size_t) {
+    ::usleep(1000);
+    if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+  };
+  deadline::set_budget_ms(3'600'000);
+  std::vector<char> armed(n, 0);
+  exec::parallel_for(
+      n,
+      [&](size_t i) {
+        item(i);
+        armed[i] = deadline::remaining_ns() < INT64_MAX ? 1 : 0;
+      },
+      {.threads = 4});
+  ASSERT_GT(off_caller.load(), 0) << "no item ran on a pool worker";
+  EXPECT_EQ(std::count(armed.begin(), armed.end(), 1), static_cast<long>(n))
+      << "every slot polls the entering thread's budget";
+  deadline::set_budget_ms(0);
+
+  // A pending cancel under a GraceScope: no slot of the region stops.
+  deadline::request_cancel();
+  deadline::GraceScope grace;
+  off_caller.store(0);
+  std::atomic<size_t> ran{0};
+  exec::parallel_for(
+      n,
+      [&](size_t i) {
+        item(i);
+        ran.fetch_add(1);
+      },
+      {.threads = 4});
+  ASSERT_GT(off_caller.load(), 0) << "no item ran on a pool worker";
+  EXPECT_EQ(ran.load(), n);
 }
 
 // ------------------------------------------------------------------ exec

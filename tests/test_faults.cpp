@@ -11,9 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <vector>
 
+#include "api/pim_api.hpp"
+#include "api/wire.hpp"
+#include "cache/store.hpp"
 #include "charlib/characterize.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "cosi/mesh.hpp"
 #include "cosi/synthesis.hpp"
 #include "exec/engine.hpp"
@@ -24,6 +29,7 @@
 #include "spice/deck.hpp"
 #include "spice/measure.hpp"
 #include "spice/transient.hpp"
+#include "sta/calibrated.hpp"
 #include "sta/signoff.hpp"
 #include "tech/technology.hpp"
 #include "util/error.hpp"
@@ -316,12 +322,12 @@ TEST_F(FaultFixture, NestedRegionItemsDeriveTheirStreamsFromTheEnclosingItem) {
 }
 
 TEST_F(FaultFixture, GoldenSignoffUnderLuFaultsIsDeterministicPerChain) {
-  // lu.singular armed over a small golden batch, run two ways: back to
-  // back at top level, as run_batch serves its items, and as the items of
-  // one region, as composition calibration runs its chains. Both are
-  // identical at 1 and 4 threads. In the region each chain's two
-  // launches draw substreams of the chain's stream, so identical chains
-  // still see different faults.
+  // lu.singular armed over a small set of golden links, run two ways:
+  // back to back at top level, as direct golden evaluates run, and as the
+  // items of one region, as composition calibration runs its chains (and
+  // run_batch its items). Both are identical at 1 and 4 threads. In the
+  // region each chain's two launches draw substreams of the chain's
+  // stream, so identical chains still see different faults.
   const Technology& tech = technology(TechNode::N65);
   LinkContext ctx;
   ctx.style = DesignStyle::Shielded;
@@ -384,6 +390,60 @@ TEST_F(FaultFixture, GoldenSignoffUnderLuFaultsIsDeterministicPerChain) {
     differs = differs || !(serial_chains[i] == serial_chains[0]);
   EXPECT_TRUE(differs) << "every chain saw chain 0's faults";
   exec::set_threads(0);
+}
+
+TEST_F(FaultFixture, GoldenBatchUnderLuFaultsIsBitIdenticalAtAnyThreadCount) {
+  // run_batch runs its items as one region: each item's two sign-off
+  // launches draw substreams of the item's stream, wherever and in
+  // whatever order the items run. The fit comes from a reduced-deck
+  // coefficient file, computed before the harness is armed.
+  cache::set_mode(cache::Mode::Off);
+  const std::string coeffs = ::testing::TempDir() + "pim_faults_golden_batch.pimfit";
+  {
+    CharacterizationOptions copt;
+    copt.drives = {2, 8, 32};
+    copt.buffers = false;
+    CompositionOptions comp;
+    comp.drives = {8, 32};
+    comp.segment_lengths = {0.5e-3, 1.5e-3};
+    comp.input_slews = {50e-12, 300e-12};
+    comp.chain_lengths = {1, 3};
+    save_fit(calibrated_fit(TechNode::N65, "", copt, comp), coeffs);
+  }
+  api::BatchRequest batch;
+  for (int i = 0; i < 4; ++i) {
+    api::LinkEvalRequest req;
+    req.link.tech = "65nm";
+    req.link.style = "SH";
+    req.link.length_mm = 1.0;
+    req.link.drive = 16;
+    req.link.repeaters = 1;
+    req.link.coeffs_path = coeffs;
+    req.golden = true;
+    batch.items.emplace_back(req);
+  }
+  const auto run = [&](int t, int64_t* fired) {
+    exec::set_threads(t);
+    fault::configure("lu.singular:0.002:17");
+    const Expected<api::BatchResult> out = api::run_batch(batch);
+    *fired = fault::fired_count(fault::kLuSingular);
+    std::vector<std::string> texts;
+    if (!out.ok()) return texts;
+    for (const Expected<api::AnyResult>& item : out.value().items)
+      texts.push_back(item.ok() ? api::wire::to_json(std::get<api::LinkEvalResult>(item.value()))
+                                : api::wire::error_to_json(item.error()));
+    return texts;
+  };
+  int64_t serial_fired = 0, threaded_fired = 0;
+  const std::vector<std::string> serial = run(1, &serial_fired);
+  const std::vector<std::string> threaded = run(4, &threaded_fired);
+  ASSERT_EQ(serial.size(), batch.items.size());
+  EXPECT_EQ(threaded, serial);
+  EXPECT_EQ(threaded_fired, serial_fired);
+  EXPECT_GT(serial_fired, 0) << "raise the probability: nothing fired";
+  exec::set_threads(0);
+  cache::reset_mode();
+  std::filesystem::remove(coeffs);
 }
 
 // ------------------------------------------------------------- charlib

@@ -11,12 +11,18 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/wire.hpp"
+#include "cache/store.hpp"
+#include "charlib/coeffs_io.hpp"
+#include "exec/engine.hpp"
 #include "obs/report.hpp"
 #include "serve/server.hpp"
+#include "sta/calibrated.hpp"
 #include "util/error.hpp"
 
 namespace pim::serve {
@@ -311,6 +317,76 @@ TEST(Serve, ListenersCloseAfterStop) {
       << "listener should be closed after stop()";
   ::close(fd2);
   ::close(fd);
+}
+
+TEST(Serve, DeadlineRequestsRunConcurrentlyWithoutCrossTruncation) {
+  // Budgets are thread-scoped, so pimd runs budgeted and budget-free
+  // requests side by side: a 1 ms golden request stops typed on its own
+  // worker while its neighbours finish untouched. The cache is off (each
+  // request does its own work) and the fit is a reduced-deck file. One
+  // exec thread, as perfbench runs pimd: a sign-off then runs its two
+  // launches in turn, so a budgeted one always meets its expired budget
+  // at the second launch's poll.
+  cache::set_mode(cache::Mode::Off);
+  exec::set_threads(1);
+  const std::string coeffs = ::testing::TempDir() + "pim_serve_deadline_" +
+                             std::to_string(::getpid()) + ".pimfit";
+  {
+    CharacterizationOptions copt;
+    copt.drives = {2, 8, 32};
+    copt.buffers = false;
+    CompositionOptions comp;
+    comp.drives = {8, 32};
+    comp.segment_lengths = {0.5e-3, 1.5e-3};
+    comp.input_slews = {50e-12, 300e-12};
+    comp.chain_lengths = {1, 3};
+    save_fit(calibrated_fit(TechNode::N45, "", copt, comp), coeffs);
+  }
+  const auto evaluate = [&](int id, const char* style, double length_mm, int deadline_ms) {
+    std::string line = "{\"op\":\"evaluate\",\"id\":" + std::to_string(id) +
+                       ",\"golden\":true";
+    if (deadline_ms > 0) line += ",\"deadline_ms\":" + std::to_string(deadline_ms);
+    return line + ",\"link\":{\"tech\":\"45nm\",\"style\":\"" + style +
+           "\",\"length_mm\":" + std::to_string(length_mm) + ",\"drive\":8" +
+           ",\"coeffs_path\":\"" + coeffs + "\"}}";
+  };
+  std::vector<std::string> lines;
+  std::vector<bool> budgeted;
+  for (int i = 0; i < 8; ++i) {
+    const bool rushed = i % 2 == 0;
+    lines.push_back(rushed ? evaluate(i, "SS", 10.0, 1)
+                           : evaluate(i, i % 4 == 1 ? "SH" : "DS", 1.0 + 0.5 * i, 0));
+    budgeted.push_back(rushed);
+  }
+
+  ServerOptions options;
+  options.tcp_port = 0;
+  options.workers = 4;
+  Server server(options);
+  server.start();
+  const int fd = connect_tcp(server.tcp_port());
+  LineReader reader{fd, {}};
+  for (const std::string& line : lines) send_line(fd, line);
+  std::vector<std::string> responses;
+  for (size_t i = 0; i < lines.size(); ++i) responses.push_back(reader.next());
+  ::close(fd);
+  server.stop();
+
+  for (size_t i = 0; i < lines.size(); ++i) {
+    if (budgeted[i]) {
+      const obs::JsonValue v = obs::parse_json(responses[i]);
+      EXPECT_FALSE(v.find("ok")->boolean) << responses[i];
+      ASSERT_NE(v.find("error"), nullptr) << responses[i];
+      EXPECT_EQ(v.find("error")->find("exit_code")->number, 5.0) << responses[i];
+    } else {
+      EXPECT_NE(responses[i].find("\"ok\":true"), std::string::npos) << responses[i];
+      EXPECT_EQ(responses[i], api::wire::execute_line(lines[i]))
+          << "request " << i << " must match a direct in-process call";
+    }
+  }
+  exec::set_threads(0);
+  cache::reset_mode();
+  std::filesystem::remove(coeffs);
 }
 
 TEST(Serve, StartValidatesItsOptions) {

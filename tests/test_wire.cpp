@@ -1,15 +1,22 @@
 // The wire codec contract (src/api/wire.hpp): one canonical JSON shape
 // per facade struct, strict decoding, version gating before dispatch,
-// the shared error envelope, and run_batch's per-item semantics.
+// the shared error envelope, and run_batch's per-item semantics —
+// including its concurrent items.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "api/pim_api.hpp"
 #include "api/wire.hpp"
+#include "cache/store.hpp"
+#include "charlib/coeffs_io.hpp"
 #include "deadline/deadline.hpp"
+#include "exec/engine.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "sta/calibrated.hpp"
 #include "util/error.hpp"
 
 namespace pim::api {
@@ -495,6 +502,166 @@ TEST(RunBatch, PendingCancelTruncatesWithStopErrorsPerItem) {
     EXPECT_NE(std::string(item.error().what()).find("never started"),
               std::string::npos);
   }
+}
+
+// ------------------------------------------------- concurrent batches
+
+// Canonical bytes of one item: its result's wire JSON, or the error's.
+std::string item_text(const Expected<AnyResult>& item) {
+  if (!item.ok()) return wire::error_to_json(item.error());
+  return std::visit([](const auto& r) { return to_json(r); }, item.value());
+}
+
+template <typename R>
+std::string item_text(const Expected<R>& direct) {
+  if (!direct.ok()) return wire::error_to_json(direct.error());
+  return to_json(direct.value());
+}
+
+// Link flows against a scratch cache. Most cases name a reduced-deck
+// 45 nm fit from a coefficient file, so no case but the cold one
+// characterizes the full deck.
+class ConcurrentBatchFixture : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = ::testing::TempDir() + "pim_wire_test_" +
+           ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::filesystem::remove_all(dir_);
+    cache::set_dir(dir_);
+    cache::set_mode(cache::Mode::ReadWrite);
+    cache::Store::global().clear_memory();
+    deadline::reset();
+    obs::set_enabled(true);
+  }
+  void TearDown() override {
+    exec::set_threads(0);
+    obs::set_enabled(false);
+    obs::registry().reset();
+    cache::Store::global().clear_memory();
+    cache::reset_mode();
+    cache::set_dir("");
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove(dir_ + ".pimfit");
+  }
+
+  LinkSpec reduced_45nm_link(double length_mm, const char* style) {
+    const std::string coeffs = dir_ + ".pimfit";
+    if (!std::filesystem::exists(coeffs)) {
+      CharacterizationOptions copt;
+      copt.drives = {2, 8, 32};
+      copt.buffers = false;
+      CompositionOptions comp;
+      comp.drives = {8, 32};
+      comp.segment_lengths = {0.5e-3, 1.5e-3};
+      comp.input_slews = {50e-12, 300e-12};
+      comp.chain_lengths = {1, 3};
+      save_fit(calibrated_fit(TechNode::N45, "", copt, comp), coeffs);
+    }
+    LinkSpec link;
+    link.tech = "45nm";
+    link.length_mm = length_mm;
+    link.style = style;
+    link.drive = 8;
+    link.coeffs_path = coeffs;
+    return link;
+  }
+
+  static int64_t counter(const char* name) {
+    return obs::registry().counter(name).value();
+  }
+
+  std::string dir_;
+};
+
+TEST_F(ConcurrentBatchFixture, MixedBatchIsByteIdenticalAtAnyThreadCount) {
+  LinkEvalRequest golden;
+  golden.link = reduced_45nm_link(1.0, "SH");
+  golden.golden = true;
+  NoiseRequest noise;
+  noise.link = golden.link;
+  BufferRequest buffer;
+  buffer.link = reduced_45nm_link(5.0, "SS");
+  YieldRequest yield;
+  yield.link = buffer.link;
+  yield.samples = 200;
+  yield.seed = 11;
+  LinkEvalRequest bad = golden;
+  bad.link.tech = "no-such-tech";
+
+  // The direct calls come first and warm the resident memos, so every
+  // batch below does the same work whatever its thread count.
+  const std::vector<std::string> direct = {
+      item_text(run_evaluate(golden)), item_text(run_noise(noise)),
+      item_text(run_buffer(buffer)), item_text(run_yield(yield)),
+      item_text(run_evaluate(bad))};
+  BatchRequest batch;
+  batch.items = {golden, noise, buffer, yield, bad};
+
+  std::vector<int64_t> runs;
+  for (int threads : {1, 2, 4}) {
+    exec::set_threads(threads);
+    const Expected<BatchResult> out = run_batch(batch);
+    ASSERT_TRUE(out.ok()) << out.error().what();
+    ASSERT_EQ(out.value().items.size(), direct.size());
+    EXPECT_EQ(out.value().failed, 1) << "threads=" << threads;
+    for (size_t i = 0; i < direct.size(); ++i)
+      EXPECT_EQ(item_text(out.value().items[i]), direct[i])
+          << "threads=" << threads << " item " << i;
+    runs.push_back(counter("spice.transient.runs"));
+  }
+  EXPECT_GT(runs.front(), 0);
+  EXPECT_EQ(runs.back(), runs.front()) << "a batch counts every item at any thread count";
+}
+
+TEST_F(ConcurrentBatchFixture, BudgetedItemStopsWithoutTruncatingItsSibling) {
+  LinkEvalRequest sibling;
+  sibling.link = reduced_45nm_link(1.0, "SH");
+  sibling.golden = true;
+  LinkEvalRequest rushed;
+  rushed.link = reduced_45nm_link(10.0, "SS");
+  rushed.golden = true;
+  rushed.deadline_ms = 1;
+  const std::string want = item_text(run_evaluate(sibling));
+
+  exec::set_threads(4);
+  BatchRequest batch;
+  batch.items = {rushed, sibling};
+  const Expected<BatchResult> out = run_batch(batch);
+  ASSERT_TRUE(out.ok()) << out.error().what();
+  const BatchResult& result = out.value();
+  ASSERT_EQ(result.items.size(), 2u);
+  ASSERT_FALSE(result.items[0].ok());
+  EXPECT_EQ(result.items[0].error().code(), ErrorCode::deadline_exceeded);
+  EXPECT_EQ(std::string(result.items[0].error().what()).find("never started"),
+            std::string::npos)
+      << "the budget is the item's own, not the batch's";
+  EXPECT_EQ(item_text(result.items[1]), want);
+  EXPECT_EQ(result.failed, 1);
+  EXPECT_TRUE(result.partial);
+}
+
+TEST_F(ConcurrentBatchFixture, ColdBatchCharacterizesOnce) {
+  clear_resident_fits();
+  LinkSpec link;
+  link.tech = "65nm";
+  link.length_mm = 1.0;
+  LinkEvalRequest evaluate;
+  evaluate.link = link;
+  BufferRequest buffer;
+  buffer.link = link;
+  NoiseRequest noise;
+  noise.link = link;
+  BatchRequest batch;
+  batch.items = {evaluate, buffer, noise};
+
+  const Expected<BatchResult> out = run_batch(batch);
+  ASSERT_TRUE(out.ok()) << out.error().what();
+  EXPECT_EQ(out.value().failed, 0);
+  for (const Expected<AnyResult>& item : out.value().items)
+    EXPECT_TRUE(item.ok()) << item.error().what();
+  EXPECT_EQ(counter("corner.nominal.fit.compute"), 1);
+  // The batch resolves the fit up front; each item then takes a hit.
+  EXPECT_EQ(counter("fit.resident.hit"), 3);
 }
 
 }  // namespace
