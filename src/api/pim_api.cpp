@@ -145,9 +145,10 @@ TechnologyFit fit_of(const Technology& base, const Corner& corner,
 // ProposedModel re-hashes the coefficient tables for its cache
 // signature — two orders of magnitude more work than the sub-microsecond
 // evaluate a serving hot loop does per request — so warm requests share
-// one immutable instance. Keyed by the fit's content-cache key: two
+// one immutable instance. Keyed by the resident fit's memo key: two
 // requests share a model exactly when they would resolve the same fit
-// (tech content at corner + corner id + deck knobs). The memo follows
+// (tech content at corner + corner id + deck knobs, plus the coefficient
+// file's content when that tier serves the fit). The memo follows
 // the resident fits' bypass and single-flight rules (cache/resident.hpp),
 // and the Technology reference the model binds is registry-stable for
 // the process lifetime (tech/technology.cpp), so a shared model never
@@ -163,7 +164,7 @@ std::shared_ptr<const ProposedModel> resident_model_of(const Technology& base,
   // served the model.
   const ResidentFit rf = resident_corner_fit(base, corner, coeffs_path);
   return memo.get(
-      rf.key_hex,
+      rf.memo_key,
       [&] {
         return std::make_shared<const ProposedModel>(corner_technology(base, corner),
                                                      *rf.fit);
@@ -172,7 +173,7 @@ std::shared_ptr<const ProposedModel> resident_model_of(const Technology& base,
 }
 
 // Resident noise calibrations, keyed like the resident models by the
-// fit's content-cache key. calibrate_noise is a pure function of the
+// resident fit's memo key. calibrate_noise is a pure function of the
 // (corner-derated) tech and the fit, and the key pins both, so a memo hit
 // returns exactly what re-running the six calibration decks would. Same
 // rules as the model memo; a calibration stopped by a deadline or cancel
@@ -181,7 +182,7 @@ NoiseCalibration resident_noise_calibration(const Technology& tech,
                                             const ResidentFit& rf) {
   static cache::ResidentMemo<NoiseCalibration> memo;
   return memo.get(
-      rf.key_hex, [&] { return calibrate_noise(tech, *rf.fit); },
+      rf.memo_key, [&] { return calibrate_noise(tech, *rf.fit); },
       [](const auto&) { PIM_COUNT("noise.resident.hit"); });
 }
 

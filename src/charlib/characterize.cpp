@@ -174,6 +174,11 @@ PointOutcome measure_point(const Technology& tech, CellKind kind,
     lanes[e].vsource_wave.emplace_back(fx->input_vsource,
                                        input_ramp(tech, in_rises[e], slew));
     lanes[e].cap_farads.emplace_back(fx->load_cap, load);
+    // extract_timing reads only these first crossings of the lane's
+    // traces (probes: 0 = in, 1 = out), so the lane ends at the last.
+    lanes[e].stop_after =
+        delay_slew_crossings(0, in_rises[e] ? EdgeKind::Rising : EdgeKind::Falling, 1,
+                             kTableEdges[e], tech.vdd);
   }
   TransientBatch batch = run_transient_batch(fx->plan, sim_options(slew, dt_max),
                                              {fx->in, fx->out}, lanes);

@@ -53,6 +53,16 @@ struct Lane {
   std::optional<Error> error;
   bool failed = false;
 
+  // Measurement-bounded window (LaneSpec::stop_after): the crossings the
+  // caller will measure, which of them the recorded samples already
+  // hold, and, once all have occurred, the main-window steps left
+  // unsimulated.
+  std::vector<Crossing> stop_after;
+  std::vector<bool> crossed;
+  size_t pending = 0;
+  bool done = false;
+  long steps_after_measure = 0;
+
   // Per-step-attempt flags.
   bool newton_active = false;
   bool converged = false;
@@ -78,6 +88,7 @@ struct Lane {
   double inputs_const_after = 0.0;  // every wave is exactly constant beyond
 
   bool replaying() const { return !cycle.empty(); }
+  bool live() const { return !failed && !done; }
 
   void reset_ring() {
     ring.clear();
@@ -210,6 +221,16 @@ class BatchEngine {
       }
       lane.waves[si] = wave;
     }
+    for (const Crossing& c : spec.stop_after) {
+      if (c.probe >= probes_.size()) {
+        lane.fail_lane(Error("transient batch: crossing probe index out of range",
+                             ErrorCode::bad_input));
+        return;
+      }
+    }
+    lane.stop_after = spec.stop_after;
+    lane.crossed.assign(lane.stop_after.size(), false);
+    lane.pending = lane.stop_after.size();
 
     lane.drive.assign(plan_.devices.count, kernels::DriveMemo{});
     lane.v_node.assign(plan_.node_count, 0.0);
@@ -255,6 +276,10 @@ class BatchEngine {
     // replayed step performs no per-step fault draw, so skipping would
     // shift every later draw in the lane's stream.
     skip_ok_ = bopt_.steady_skip && !fault::armed();
+    // The measurement-bounded stop is off for the same reason: the
+    // skipped tail's per-step draws would otherwise go unconsumed, which
+    // changes what every later simulation on this fault stream sees.
+    stop_ok_ = !fault::armed();
 
     // Settling pre-roll: backward Euler, inputs frozen at t = 0.
     if (opt_.t_settle > 0.0 && opt_.settle_steps > 0) {
@@ -268,7 +293,8 @@ class BatchEngine {
     // all change at this boundary.
     for (Lane& lane : wave) lane.reset_ring();
 
-    // Main window.
+    // Main window. A lane whose measured crossings have all occurred
+    // retires (done, not failed); the window ends once no lane is live.
     for (Lane& lane : wave)
       if (!lane.failed) record(lane, 0.0);
     const long steps = static_cast<long>(std::ceil(opt_.t_stop / opt_.dt - 1e-9));
@@ -276,8 +302,18 @@ class BatchEngine {
       const double t = std::min(opt_.t_stop, static_cast<double>(k) * opt_.dt);
       lockstep_advance(wave, t, opt_.dt, opt_.integrator, opt_.integrate_sources,
                        /*inputs_const=*/false);
-      for (Lane& lane : wave)
-        if (!lane.failed) record(lane, t);
+      bool any_live = false;
+      for (Lane& lane : wave) {
+        if (!lane.live()) continue;
+        record(lane, t);
+        if (measurement_complete(lane)) {
+          lane.done = true;
+          lane.steps_after_measure = steps - k;
+        } else {
+          any_live = true;
+        }
+      }
+      if (!any_live) break;
     }
 
     // Tally flush mirrors the scalar solver: only lanes that completed
@@ -289,7 +325,29 @@ class BatchEngine {
       PIM_COUNT_N("spice.newton.iterations", lane.n_newton);
       PIM_COUNT_N("spice.lu.solves", lane.n_solves);
       if (lane.n_retries > 0) PIM_COUNT_N("spice.newton.retries", lane.n_retries);
+      if (lane.steps_after_measure > 0)
+        PIM_COUNT_N("spice.timestep.after_measure", lane.steps_after_measure);
     }
+  }
+
+  // True once every crossing in the lane's stop_after list has occurred.
+  // Each new sample pair is tested with crossing_time's own predicate, so
+  // the first pair that satisfies it here is the pair crossing_time
+  // interpolates; the recorded prefix therefore holds every sample the
+  // caller's first-crossing measurements read (docs/kernels.md).
+  bool measurement_complete(Lane& lane) const {
+    if (!stop_ok_ || lane.stop_after.empty()) return false;
+    const size_t n = lane.result.time.size();
+    for (size_t c = 0; c < lane.stop_after.size(); ++c) {
+      if (lane.crossed[c]) continue;
+      const Crossing& x = lane.stop_after[c];
+      const std::vector<double>& v = lane.result.traces[x.probe].values;
+      if (crosses(v[n - 2], v[n - 1], x.level, x.edge)) {
+        lane.crossed[c] = true;
+        --lane.pending;
+      }
+    }
+    return lane.pending == 0;
   }
 
   // Depth-0 advance for the whole cohort; lanes whose lockstep attempt
@@ -302,7 +360,7 @@ class BatchEngine {
                         bool inputs_const) {
     cohort_.clear();
     for (Lane& lane : wave) {
-      if (lane.failed) continue;
+      if (!lane.live()) continue;
       if (lane.replaying()) {
         replay_step(lane, dt, record_sources);
         continue;
@@ -636,6 +694,7 @@ class BatchEngine {
   const std::vector<NodeId>& probes_;
   BatchOptions bopt_;
   bool skip_ok_ = false;
+  bool stop_ok_ = false;
 
   // Engine scratch (reused across steps/iterations; no per-solve allocs).
   std::vector<Lane*> cohort_, solo_, iterating_;
@@ -652,9 +711,12 @@ TransientBatch run_transient_batch(const CompiledCircuit& plan,
 }
 
 TransientResult run_transient(const Circuit& circuit, const TransientOptions& options,
-                              const std::vector<NodeId>& probes) {
+                              const std::vector<NodeId>& probes,
+                              std::vector<Crossing> stop_after) {
   const CompiledCircuit plan = CompiledCircuit::compile(circuit, options.band_threshold);
-  TransientBatch batch = run_transient_batch(plan, options, probes, {LaneSpec{}});
+  std::vector<LaneSpec> lanes(1);
+  lanes[0].stop_after = std::move(stop_after);
+  TransientBatch batch = run_transient_batch(plan, options, probes, lanes);
   return std::move(batch.lanes[0]).take();
 }
 

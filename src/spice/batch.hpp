@@ -37,6 +37,16 @@ struct LaneSpec {
   std::vector<std::pair<size_t, double>> cap_farads;     ///< capacitor index -> F
   std::vector<std::pair<size_t, double>> mosfet_width;   ///< mosfet index -> m
   std::vector<std::pair<size_t, Waveform>> vsource_wave; ///< vsource index -> wave
+  /// Measurement-bounded window (docs/kernels.md): the lane ends its main
+  /// window at the first recorded sample by which every listed crossing
+  /// has occurred (tested with crossing_time's own predicate), so its
+  /// `time` and `traces` are the exact prefix of the full run that
+  /// first-crossing measurements of these crossings read. Empty (the
+  /// default), or a crossing that never occurs, keeps the full window.
+  /// Ignored while the fault harness is armed. Only callers that read
+  /// nothing but these first crossings may set it: source totals and the
+  /// trace tail past the stop are never computed.
+  std::vector<Crossing> stop_after;
 };
 
 struct BatchOptions {

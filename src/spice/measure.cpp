@@ -5,6 +5,15 @@
 #include "util/error.hpp"
 
 namespace pim {
+namespace {
+
+// The threshold levels of the delay and slew conventions, shared by the
+// measurements and by delay_slew_crossings so the two cannot drift.
+double delay_level(double swing) { return 0.5 * swing; }
+double slew_low_level(double swing) { return 0.2 * swing; }
+double slew_high_level(double swing) { return 0.8 * swing; }
+
+}  // namespace
 
 double crossing_time(const std::vector<double>& time, const std::vector<double>& values,
                      double level, EdgeKind edge) {
@@ -26,9 +35,7 @@ double crossing_time(const std::vector<double>& time, const std::vector<double>&
     require(std::isfinite(b),
             "crossing_time: non-finite sample at index " + std::to_string(i),
             ErrorCode::bad_input);
-    const bool crosses = (edge == EdgeKind::Rising) ? (a < level && b >= level)
-                                                    : (a > level && b <= level);
-    if (!crosses) continue;
+    if (!crosses(a, b, level, edge)) continue;
     const double f = (level - a) / (b - a);
     return time[i - 1] + f * (time[i] - time[i - 1]);
   }
@@ -40,8 +47,8 @@ double delay_50(const std::vector<double>& time, const std::vector<double>& inpu
                 EdgeKind output_edge, double swing) {
   require(swing > 0.0 && std::isfinite(swing), "delay_50: swing must be positive and finite",
           ErrorCode::bad_input);
-  const double t_in = crossing_time(time, input, 0.5 * swing, input_edge);
-  const double t_out = crossing_time(time, output, 0.5 * swing, output_edge);
+  const double t_in = crossing_time(time, input, delay_level(swing), input_edge);
+  const double t_out = crossing_time(time, output, delay_level(swing), output_edge);
   return t_out - t_in;
 }
 
@@ -49,8 +56,8 @@ double measure_slew(const std::vector<double>& time, const std::vector<double>& 
                     EdgeKind edge, double swing) {
   require(swing > 0.0 && std::isfinite(swing),
           "measure_slew: swing must be positive and finite", ErrorCode::bad_input);
-  const double lo = 0.2 * swing;
-  const double hi = 0.8 * swing;
+  const double lo = slew_low_level(swing);
+  const double hi = slew_high_level(swing);
   double t_lo, t_hi;
   if (edge == EdgeKind::Rising) {
     t_lo = crossing_time(time, values, lo, EdgeKind::Rising);
@@ -60,6 +67,15 @@ double measure_slew(const std::vector<double>& time, const std::vector<double>& 
     t_lo = crossing_time(time, values, lo, EdgeKind::Falling);
   }
   return std::fabs(t_hi - t_lo) / 0.6;
+}
+
+std::vector<Crossing> delay_slew_crossings(size_t input_probe, EdgeKind input_edge,
+                                           size_t output_probe, EdgeKind output_edge,
+                                           double swing) {
+  return {{input_probe, delay_level(swing), input_edge},
+          {output_probe, delay_level(swing), output_edge},
+          {output_probe, slew_low_level(swing), output_edge},
+          {output_probe, slew_high_level(swing), output_edge}};
 }
 
 }  // namespace pim

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "spice/circuit.hpp"
+#include "spice/measure.hpp"
 #include "util/expected.hpp"
 
 namespace pim {
@@ -78,10 +79,13 @@ struct TransientResult {
 
 /// Runs a transient analysis of `circuit`, recording the `probes` nodes.
 /// Throws pim::Error(no_convergence) when a timestep still fails after
-/// the halving retries.
+/// the halving retries. A non-empty `stop_after` (indices into `probes`)
+/// ends the run at the first sample by which every listed crossing has
+/// occurred (LaneSpec::stop_after, spice/batch.hpp).
 TransientResult run_transient(const Circuit& circuit,
                               const TransientOptions& options,
-                              const std::vector<NodeId>& probes);
+                              const std::vector<NodeId>& probes,
+                              std::vector<Crossing> stop_after = {});
 
 /// Recoverable variant: returns the result or the error without throwing,
 /// for batch flows that skip-and-record failed simulations.

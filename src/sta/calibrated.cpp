@@ -1,6 +1,7 @@
 #include "sta/calibrated.hpp"
 
 #include <fstream>
+#include <sstream>
 
 #include "cache/manifest.hpp"
 #include "cache/resident.hpp"
@@ -150,11 +151,11 @@ TechnologyFit corner_calibrated_fit_impl(const Technology& tech, const Corner& c
 
 // ---------------------------------------------------------------- residency
 
-// The process-wide resident tier: parsed fits keyed by their content-
-// cache key, shared immutably across threads. Bounded only by the number
-// of distinct (tech, corner, deck-knob) combinations a process touches —
-// a fit is ~2 KB, so even a server holding every built-in node at every
-// corner stays in the tens of kilobytes.
+// The process-wide resident tier: parsed fits keyed by resident_key,
+// shared immutably across threads. Bounded only by the number of
+// distinct (tech, corner, deck-knob, coefficient-file) combinations a
+// process touches — a fit is ~2 KB, so even a server holding every
+// built-in node at every corner stays in the tens of kilobytes.
 struct ResidentEntry {
   std::shared_ptr<const TechnologyFit> fit;
   std::string coeff_hash;
@@ -163,6 +164,21 @@ struct ResidentEntry {
 cache::ResidentMemo<ResidentEntry>& resident_fits() {
   static cache::ResidentMemo<ResidentEntry> memo;
   return memo;
+}
+
+// The resident key of the fit a call serves. The content-cache key does
+// not cover the nominal coefficient-file tier, which serves the file's
+// fit ahead of the store, so where that tier applies the key also names
+// the file's content (or, for a file that cannot be read yet, its path:
+// that call computes and writes it).
+std::string resident_key(const cache::CacheKey& key, const Corner& corner,
+                         const std::string& cache_path) {
+  if (cache_path.empty() || !corner.is_nominal()) return key.hex;
+  std::ifstream in(cache_path);
+  if (!in.good()) return key.hex + "+unread:" + cache_path;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return key.hex + "+file:" + cache::sha256_hex(bytes.str());
 }
 
 }  // namespace
@@ -180,8 +196,9 @@ ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
     const cache::Tracked scope;
     key = fit_cache_key(tech, corner, characterization, composition);
   }
+  const std::string memo_key = resident_key(key, corner, cache_path);
   const ResidentEntry entry = resident_fits().get(
-      key.hex,
+      memo_key,
       [&] {
         auto fit = std::make_shared<const TechnologyFit>(corner_calibrated_fit_impl(
             tech, corner, cache_path, characterization, composition));
@@ -198,7 +215,7 @@ ResidentFit resident_corner_fit(const Technology& base, const Corner& corner,
         if (cache::Tracked* enclosing = cache::Tracked::current())
           enclosing->upstream(key);
       });
-  return {entry.fit, key.hex, entry.coeff_hash};
+  return {entry.fit, key.hex, entry.coeff_hash, memo_key};
 }
 
 void clear_resident_fits() { resident_fits().clear(); }

@@ -49,6 +49,10 @@ struct ResidentFit {
   std::shared_ptr<const TechnologyFit> fit;
   std::string key_hex;     ///< hex id of the fit's content-cache key
   std::string coeff_hash;  ///< SHA-256 of write_fit(*fit) — the signature token
+  /// Resident-memo key of the fit served: key_hex, plus the content
+  /// digest of the coefficient file when its tier applies. Memos of
+  /// values derived from the fit key on this, not on key_hex.
+  std::string memo_key;
 };
 
 /// corner_calibrated_fit with a process-wide residency memo in front of

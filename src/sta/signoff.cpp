@@ -191,9 +191,13 @@ SignoffResult signoff_link(const Technology& tech, const LinkContext& ctx,
     const bool launch_rising = item == 0;
     const LinkNetlist built = build_line(tech, ctx, design, opt, launch_rising);
     Launch l;
-    l.res = run_transient(built.circuit, sim, {built.victim_in, built.victim_out});
     const EdgeKind in_edge = launch_rising ? EdgeKind::Rising : EdgeKind::Falling;
     l.out_edge = (launch_rising != inverted) ? EdgeKind::Rising : EdgeKind::Falling;
+    // Which launch wins is known only after both finish, so each one runs
+    // until the delay AND the slew crossings it could be measured on have
+    // all occurred (probes: 0 = victim input, 1 = victim output).
+    l.res = run_transient(built.circuit, sim, {built.victim_in, built.victim_out},
+                          delay_slew_crossings(0, in_edge, 1, l.out_edge, tech.vdd));
     l.delay = delay_50(l.res.time, l.res.trace(built.victim_in), in_edge,
                        l.res.trace(built.victim_out), l.out_edge, tech.vdd);
     l.victim_out = built.victim_out;

@@ -4,6 +4,7 @@
 // rely on (load-dependent delay/slew, size-dependent drive).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -681,6 +682,93 @@ TEST(TransientBatch, SteadyStateReplayIsBitExactAndActuallySkipsSolves) {
   EXPECT_GT(steps_skip, solves_skip);
 }
 
+// Index of the sample at which crossing_time finds the crossing `c` of
+// `res` (the second sample of the first crossing pair), or npos.
+size_t crossing_index(const TransientResult& res, const Crossing& c) {
+  const std::vector<double>& v = res.traces[c.probe].values;
+  for (size_t i = 1; i < v.size(); ++i)
+    if (crosses(v[i - 1], v[i], c.level, c.edge)) return i;
+  return std::string::npos;
+}
+
+TEST(TransientBatch, MeasuredCrossingsEndTheLaneOnABitExactPrefix) {
+  // Measurement-bounded window (LaneSpec::stop_after): the stepping is
+  // causal on a fixed grid, so a lane that stops once its measured
+  // crossings have occurred holds the exact prefix of the full run, and
+  // first-crossing measurements read the same bits from either.
+  const TransientOptions opt = batch_test_options();
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  const CompiledCircuit plan = CompiledCircuit::compile(inv.c, opt.band_threshold);
+  const std::vector<NodeId> probes = {inv.in, inv.out};
+  const std::vector<Crossing> measured =
+      delay_slew_crossings(0, EdgeKind::Rising, 1, EdgeKind::Falling, kVdd);
+  ASSERT_EQ(measured.size(), 4u);
+  std::vector<LaneSpec> lanes(2);  // lane 0: full window; lane 1: bounded
+  lanes[1].stop_after = measured;
+  BatchOptions cohort;
+  cohort.wave_width = 2;
+
+  obs::registry().reset();
+  obs::set_enabled(true);
+  TransientBatch batch = run_transient_batch(plan, opt, probes, lanes, cohort);
+  const int64_t unsimulated =
+      obs::registry().counter("spice.timestep.after_measure").value();
+  obs::set_enabled(false);
+  obs::registry().reset();
+  ASSERT_TRUE(batch.lanes[0].ok());
+  ASSERT_TRUE(batch.lanes[1].ok());
+  const TransientResult& full = batch.lanes[0].value();
+  const TransientResult& cut = batch.lanes[1].value();
+  expect_bit_identical(full, run_transient_reference(inv.c, opt, probes));
+
+  // It ends at the first sample where every crossing holds...
+  size_t last = 0;
+  for (const Crossing& c : measured) {
+    const size_t at = crossing_index(full, c);
+    ASSERT_NE(at, std::string::npos);
+    last = std::max(last, at);
+  }
+  ASSERT_EQ(cut.time.size(), last + 1);
+  ASSERT_LT(cut.time.size(), full.time.size()) << "the stop never engaged";
+  EXPECT_EQ(unsimulated, static_cast<int64_t>(full.time.size() - cut.time.size()));
+  // ...on a bit-exact prefix of the full run...
+  ASSERT_EQ(cut.traces.size(), full.traces.size());
+  for (size_t i = 0; i < cut.time.size(); ++i) {
+    ASSERT_TRUE(bits_equal(cut.time[i], full.time[i])) << "time[" << i << "]";
+    for (size_t t = 0; t < cut.traces.size(); ++t)
+      ASSERT_TRUE(bits_equal(cut.traces[t].values[i], full.traces[t].values[i]))
+          << "trace " << t << " sample " << i;
+  }
+  // ...so the delay and slew measured on it are the same bits.
+  EXPECT_TRUE(bits_equal(
+      delay_50(cut.time, cut.trace(inv.in), EdgeKind::Rising, cut.trace(inv.out),
+               EdgeKind::Falling, kVdd),
+      delay_50(full.time, full.trace(inv.in), EdgeKind::Rising, full.trace(inv.out),
+               EdgeKind::Falling, kVdd)));
+  EXPECT_TRUE(bits_equal(measure_slew(cut.time, cut.trace(inv.out), EdgeKind::Falling, kVdd),
+                         measure_slew(full.time, full.trace(inv.out), EdgeKind::Falling,
+                                      kVdd)));
+  // The single-circuit entry point stops the same way.
+  expect_traces_bit_identical(run_transient(inv.c, opt, probes, measured), cut);
+
+  // A level that is never crossed keeps the full window.
+  LaneSpec never;
+  never.stop_after = measured;
+  never.stop_after.push_back({1, 2.0 * kVdd, EdgeKind::Rising});
+  TransientBatch whole = run_transient_batch(plan, opt, probes, {never});
+  ASSERT_TRUE(whole.lanes[0].ok());
+  expect_bit_identical(whole.lanes[0].value(), full);
+
+  // A crossing on a probe the lane does not record fails only that lane.
+  LaneSpec stray;
+  stray.stop_after.push_back({probes.size(), 0.5 * kVdd, EdgeKind::Rising});
+  TransientBatch mixed = run_transient_batch(plan, opt, probes, {stray, LaneSpec{}});
+  ASSERT_FALSE(mixed.lanes[0].ok());
+  EXPECT_EQ(mixed.lanes[0].error().code(), ErrorCode::bad_input);
+  ASSERT_TRUE(mixed.lanes[1].ok());
+  expect_bit_identical(mixed.lanes[1].value(), full);
+}
+
 TEST(TransientBatch, BadLaneIsIsolatedFromSiblings) {
   const TransientOptions opt = batch_test_options();
   ManualInverter base = manual_inverter(1.0, 2.0, 10.0, 30.0);
@@ -755,6 +843,29 @@ TEST_F(BatchFaultFixture, HalvingRetriesStayBitIdenticalToReference) {
   fault::configure("lu.singular:0.05:7");
   const TransientResult singular_ref = run_transient_reference(ladder, opt, {tail});
   expect_bit_identical(singular_batch, singular_ref);
+}
+
+TEST_F(BatchFaultFixture, MeasuredCrossingsAreIgnoredWhileFaultsAreArmed) {
+  // A stopped lane would skip the per-step fault draws of its tail, so
+  // while the harness is armed the crossing list is ignored: the window,
+  // the results and the fault counts match a run without it.
+  const TransientOptions opt = batch_test_options();
+  ManualInverter inv = manual_inverter(1.0, 2.0, 10.0, 30.0);
+  const std::vector<NodeId> probes = {inv.in, inv.out};
+  const std::vector<Crossing> measured =
+      delay_slew_crossings(0, EdgeKind::Rising, 1, EdgeKind::Falling, kVdd);
+
+  fault::configure("lu.singular:0.05:7");
+  const TransientResult plain = run_transient(inv.c, opt, probes);
+  const int64_t fired = fault::fired_count(fault::kLuSingular);
+  EXPECT_GT(fired, 0);
+  fault::configure("lu.singular:0.05:7");
+  const TransientResult bounded = run_transient(inv.c, opt, probes, measured);
+  EXPECT_EQ(fault::fired_count(fault::kLuSingular), fired);
+  expect_bit_identical(bounded, plain);
+  fault::clear();
+  EXPECT_LT(run_transient(inv.c, opt, probes, measured).time.size(), plain.time.size())
+      << "the disarmed run must stop early, or this test checks nothing";
 }
 
 TEST_F(BatchFaultFixture, PerLaneDeadlineCutoffIsAPureFunctionOfIndex) {

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "spice/transient.hpp"
 #include "spice/measure.hpp"
@@ -180,6 +181,57 @@ TEST_F(StaFixture, GoldenSlewTrackedByModel) {
   const SignoffResult g = signoff_link(*tech_, ctx, d);
   const LinkEstimate e = model_->evaluate(ctx, d);
   EXPECT_NEAR(e.output_slew, g.output_slew, 0.5 * g.output_slew);
+}
+
+// signoff_link ends each launch once the crossings it measures have all
+// occurred. What it reports must equal the full-window measurement of
+// the same decks: every style, with an even (non-inverting) and an odd
+// (inverting) repeater chain.
+TEST(Signoff, MeasurementBoundedLaunchesMatchTheFullWindow) {
+  const Technology& tech = technology(TechNode::N65);
+  const SignoffOptions opt;
+  constexpr double kEdgeStart = 50e-12;  // signoff_link's launch time
+  for (const DesignStyle style :
+       {DesignStyle::SingleSpacing, DesignStyle::DoubleSpacing, DesignStyle::Shielded}) {
+    for (const int repeaters : {2, 3}) {
+      LinkContext ctx = short_link(style);
+      LinkDesign d;
+      d.drive = 16;
+      d.num_repeaters = repeaters;
+      const bool inverted = repeaters % 2 == 1;
+
+      // signoff_link's window, simulated in full.
+      TransientOptions sim;
+      sim.dt = opt.dt;
+      sim.t_stop = kEdgeStart + ctx.input_slew +
+                   3.0 * PamunuwaModel(tech).evaluate(ctx, d).delay + opt.window_margin;
+      sim.t_settle = 2e-9;
+      sim.settle_steps = 250;
+      SignoffResult want;
+      for (const bool rising : {true, false}) {
+        const LinkNetlist net = build_link_netlist(tech, ctx, d, opt, rising);
+        const TransientResult res =
+            run_transient(net.circuit, sim, {net.victim_in, net.victim_out});
+        const EdgeKind in_edge = rising ? EdgeKind::Rising : EdgeKind::Falling;
+        const EdgeKind out_edge = rising != inverted ? EdgeKind::Rising : EdgeKind::Falling;
+        const double delay = delay_50(res.time, res.trace(net.victim_in), in_edge,
+                                      res.trace(net.victim_out), out_edge, tech.vdd);
+        if (delay > want.delay) {
+          want.delay = delay;
+          want.output_slew =
+              measure_slew(res.time, res.trace(net.victim_out), out_edge, tech.vdd);
+          want.node_count = net.circuit.node_count();
+        }
+      }
+
+      const SignoffResult got = signoff_link(tech, ctx, d, opt);
+      const std::string where =
+          design_style_name(style) + " x" + std::to_string(repeaters);
+      EXPECT_EQ(got.delay, want.delay) << where;
+      EXPECT_EQ(got.output_slew, want.output_slew) << where;
+      EXPECT_EQ(got.node_count, want.node_count) << where;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- AWE

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -662,6 +663,44 @@ TEST_F(ConcurrentBatchFixture, ColdBatchCharacterizesOnce) {
   EXPECT_EQ(counter("corner.nominal.fit.compute"), 1);
   // The batch resolves the fit up front; each item then takes a hit.
   EXPECT_EQ(counter("fit.resident.hit"), 3);
+}
+
+TEST_F(ConcurrentBatchFixture, ResidentFitFollowsTheCoefficientFileItServes) {
+  // The coefficient-file tier serves the file's fit ahead of the content
+  // store, whose key does not cover it. Two requests that differ only in
+  // the file they name must not share a resident fit or model: in either
+  // order, each returns what a fresh process (nothing resident) returns.
+  LinkEvalRequest plain;
+  plain.link.tech = "65nm";
+  plain.link.length_mm = 5.0;
+  std::string text = write_fit(calibrated_fit(TechNode::N65));
+  const std::string field = "kappa_c_coupled ";
+  const size_t at = text.find(field);
+  ASSERT_NE(at, std::string::npos);
+  const size_t value = at + field.size();
+  text.replace(value, text.find('\n', value) - value, "2.5");
+  LinkEvalRequest edited = plain;
+  edited.link.coeffs_path = dir_ + "-edited.pimfit";
+  std::ofstream(edited.link.coeffs_path) << text;
+
+  // Fresh-process answers: with the cache off no memo is read or filled.
+  cache::set_mode(cache::Mode::Off);
+  const std::string want_plain = item_text(run_evaluate(plain));
+  const std::string want_edited = item_text(run_evaluate(edited));
+  ASSERT_NE(want_plain, want_edited) << "the edit must change the answer";
+  cache::set_mode(cache::Mode::ReadWrite);
+
+  for (const bool edited_first : {true, false}) {
+    clear_resident_fits();
+    const LinkEvalRequest& first = edited_first ? edited : plain;
+    const LinkEvalRequest& second = edited_first ? plain : edited;
+    const std::string order = edited_first ? "edited first" : "plain first";
+    EXPECT_EQ(item_text(run_evaluate(first)), edited_first ? want_edited : want_plain)
+        << order;
+    EXPECT_EQ(item_text(run_evaluate(second)), edited_first ? want_plain : want_edited)
+        << order;
+  }
+  std::filesystem::remove(edited.link.coeffs_path);
 }
 
 }  // namespace
